@@ -8,7 +8,6 @@ synchronous gossip baseline, all measured in model transmissions.
 from .config import ExperimentConfig, format_config, parse_config, parse_config_text
 from .datasets import (
     LabeledDataset,
-    LabeledSample,
     LabelHistogram,
     draw_minibatch,
     generate_synthetic,
@@ -62,6 +61,5 @@ from .simulator import (
     run_trials,
     transmissions_to_accuracy,
 )
-from .cli import main, run_experiment
 
 __version__ = "0.1.0"

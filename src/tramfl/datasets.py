@@ -7,7 +7,8 @@ streams, so every operation here is a pure function of its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,26 +16,26 @@ from .errors import ParseError, StateError
 
 
 @dataclass
-class LabeledSample:
-    """One feature vector with its class index."""
+class LabeledDataset:
+    """Feature rows with their class indices.
+
+    ``features`` is an ``(n, dims)`` float64 array and ``labels`` the
+    matching ``(n,)`` int64 array; row ``i`` is one sample.
+    """
 
     features: np.ndarray
-    label: int
-
-    def __eq__(self, other):
-        if not isinstance(other, LabeledSample):
-            return NotImplemented
-        return self.label == other.label and np.array_equal(self.features, other.features)
-
-
-@dataclass
-class LabeledDataset:
-    """Ordered collection of samples sharing a feature dimension and label range."""
-
-    samples: list[LabeledSample]
+    labels: np.ndarray
     num_classes: int
     dims: int
-    _dense: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.ndim != 1 or self.features.shape != (len(self.labels), self.dims):
+            raise ValueError(
+                f"need features of shape (n, {self.dims}) and labels of shape (n,), "
+                f"got {self.features.shape} and {self.labels.shape}"
+            )
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDataset):
@@ -42,19 +43,12 @@ class LabeledDataset:
         return (
             self.num_classes == other.num_classes
             and self.dims == other.dims
-            and self.samples == other.samples
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.features, other.features)
         )
 
     def __len__(self):
-        return len(self.samples)
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (features, labels) arrays, cached after the first call."""
-        if self._dense is None:
-            feats = np.stack([s.features for s in self.samples])
-            labels = np.array([s.label for s in self.samples], dtype=np.int64)
-            self._dense = (feats, labels)
-        return self._dense
+        return len(self.labels)
 
 
 @dataclass
@@ -107,11 +101,9 @@ def generate_synthetic(
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         means = separation * directions
 
-    samples = []
-    for c in range(num_classes):
-        feats = means[c] + rng.standard_normal((per_class, dims))
-        samples.extend(LabeledSample(feats[i], c) for i in range(per_class))
-    return LabeledDataset(samples, num_classes, dims)
+    features = [means[c] + rng.standard_normal((per_class, dims)) for c in range(num_classes)]
+    labels = np.repeat(np.arange(num_classes), per_class)
+    return LabeledDataset(np.concatenate(features), labels, num_classes, dims)
 
 
 def generate_synthetic_split(
@@ -130,14 +122,13 @@ def generate_synthetic_split(
     """
     block = train_per_class + test_per_class
     full = generate_synthetic(num_classes, dims, block, separation, seed)
-    train_samples, test_samples = [], []
-    for c in range(num_classes):
-        start = c * block
-        train_samples.extend(full.samples[start : start + train_per_class])
-        test_samples.extend(full.samples[start + train_per_class : start + block])
+    by_class = full.features.reshape(num_classes, block, dims)
+    classes = np.arange(num_classes)
     return (
-        LabeledDataset(train_samples, num_classes, dims),
-        LabeledDataset(test_samples, num_classes, dims),
+        LabeledDataset(by_class[:, :train_per_class].reshape(-1, dims),
+                       np.repeat(classes, train_per_class), num_classes, dims),
+        LabeledDataset(by_class[:, train_per_class:].reshape(-1, dims),
+                       np.repeat(classes, test_per_class), num_classes, dims),
     )
 
 
@@ -148,7 +139,8 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     fixed by the first data row. Blank lines are ignored. Raises
     :class:`ParseError` with the 1-based line number on malformed input.
     """
-    samples: list[LabeledSample] = []
+    rows: list[list[float]] = []
+    labels: list[int] = []
     dims = None
     max_label = -1
     with open(path, encoding="utf-8") as handle:
@@ -176,16 +168,17 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
                     f"{path}: line {lineno}: expected {dims} features, got {len(fields) - 1}"
                 )
             try:
-                feats = np.array([float(f) for f in fields[1:]], dtype=np.float64)
+                feats = [float(f) for f in fields[1:]]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric feature value") from None
-            if not np.all(np.isfinite(feats)):
+            if not all(map(math.isfinite, feats)):
                 raise ParseError(f"{path}: line {lineno}: non-finite feature value")
-            samples.append(LabeledSample(feats, label))
+            rows.append(feats)
+            labels.append(label)
             max_label = max(max_label, label)
-    if not samples:
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(samples, max_label + 1, dims)
+    return LabeledDataset(np.array(rows), np.array(labels), max_label + 1, dims)
 
 
 def save_csv(ds: LabeledDataset, path, header: bool = False) -> None:
@@ -193,8 +186,8 @@ def save_csv(ds: LabeledDataset, path, header: bool = False) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if header:
             handle.write("label," + ",".join(f"f{i + 1}" for i in range(ds.dims)) + "\n")
-        for s in ds.samples:
-            handle.write(f"{s.label}," + ",".join(repr(float(v)) for v in s.features) + "\n")
+        for label, row in zip(ds.labels.tolist(), ds.features.tolist()):
+            handle.write(f"{label}," + ",".join(repr(v) for v in row) + "\n")
 
 
 def _num_classes_of(data) -> int:
@@ -206,31 +199,25 @@ def _num_classes_of(data) -> int:
 
 def histogram(data) -> LabelHistogram:
     """Per-class sample counts of a dataset or shard."""
-    num_classes = _num_classes_of(data)
-    labels = [s.label for s in data.samples]
-    if not labels:
-        return LabelHistogram(np.zeros(num_classes))
-    return LabelHistogram(np.bincount(labels, minlength=num_classes).astype(np.float64))
+    return LabelHistogram(np.bincount(data.labels, minlength=_num_classes_of(data)))
 
 
 def draw_minibatch(shard, batch_size: int, rng: np.random.Generator):
-    """Draw a batch of samples from a shard and report its label counts.
+    """Draw a batch of rows from a shard and report its label counts.
 
     Sampling is uniform without replacement; if the shard holds fewer than
-    ``batch_size`` samples it falls back to sampling with replacement. Every
+    ``batch_size`` rows it falls back to sampling with replacement. Every
     call advances ``rng``.
 
-    Returns ``(samples, counts)`` where ``counts`` sums to ``batch_size``.
+    Returns ``(idx, counts)``: the batch is ``shard.features[idx]`` with
+    labels ``shard.labels[idx]``, and ``counts`` sums to ``batch_size``.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    population = len(shard.samples)
+    population = len(shard.labels)
     if population == 0:
         raise StateError("cannot draw a minibatch from an empty shard")
     replace = population < batch_size
     idx = rng.choice(population, size=batch_size, replace=replace)
-    batch = [shard.samples[i] for i in idx]
-    counts = np.bincount(
-        [s.label for s in batch], minlength=_num_classes_of(shard)
-    ).astype(np.float64)
-    return batch, LabelHistogram(counts)
+    counts = np.bincount(shard.labels[idx], minlength=_num_classes_of(shard))
+    return idx, LabelHistogram(counts)

@@ -11,6 +11,7 @@ shape (fan_in, fan_out)), then all bias vectors in the same layer order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,23 @@ class ArchSpec:
         return list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
 
     def num_params(self) -> int:
-        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layer_pairs())
+        return self._layout[2]
+
+    @cached_property
+    def _layout(self):
+        """Offsets into the flat parameter vector, computed once per instance:
+        ``(weights, biases, size)`` with one ``(start, stop, shape)`` per
+        weight matrix and one ``(start, stop)`` per bias vector."""
+        pairs = self.layer_pairs()
+        weights, biases = [], []
+        offset = 0
+        for fan_in, fan_out in pairs:
+            weights.append((offset, offset + fan_in * fan_out, (fan_in, fan_out)))
+            offset += fan_in * fan_out
+        for _, fan_out in pairs:
+            biases.append((offset, offset + fan_out))
+            offset += fan_out
+        return tuple(weights), tuple(biases), offset
 
 
 @dataclass
@@ -52,15 +69,9 @@ class ModelParams:
 
 def _views(arch: ArchSpec, flat: np.ndarray):
     """Weight-matrix and bias views into a flat vector (no copies)."""
-    pairs = arch.layer_pairs()
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in pairs:
-        weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-        offset += fan_in * fan_out
-    for _, fan_out in pairs:
-        biases.append(flat[offset : offset + fan_out])
-        offset += fan_out
+    weight_slices, bias_slices, _ = arch._layout
+    weights = [flat[start:stop].reshape(shape) for start, stop, shape in weight_slices]
+    biases = [flat[start:stop] for start, stop in bias_slices]
     return weights, biases
 
 
@@ -114,15 +125,15 @@ def forward(params: ModelParams, x) -> np.ndarray:
     return (probs / probs.sum(axis=1, keepdims=True))[0]
 
 
-def loss_and_grad(params: ModelParams, batch) -> tuple[float, np.ndarray]:
+def loss_and_grad(params: ModelParams, features, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch and its gradient via backprop.
 
-    The gradient vector shares the flat layout of ``params.values``.
+    The batch is ``features`` rows (n, dims) with class indices ``labels``
+    (n,). The gradient vector shares the flat layout of ``params.values``.
     """
-    if not batch:
+    if len(labels) == 0:
         raise ValueError("batch must be nonempty")
-    features = np.stack([np.asarray(s.features, dtype=np.float64) for s in batch])
-    labels = np.array([s.label for s in batch])
+    features = np.asarray(features, dtype=np.float64)
 
     weights, _ = _views(params.arch, params.values)
     activations, logits = _forward_batch(params, features)
@@ -134,7 +145,7 @@ def loss_and_grad(params: ModelParams, batch) -> tuple[float, np.ndarray]:
     probs /= probs.sum(axis=1, keepdims=True)
     delta = probs
     delta[np.arange(len(labels)), labels] -= 1.0
-    delta /= len(batch)
+    delta /= len(labels)
 
     grad = np.zeros_like(params.values)
     grad_w, grad_b = _views(params.arch, grad)
@@ -162,16 +173,15 @@ def evaluate(params: ModelParams, ds) -> tuple[float, float]:
     Prediction is the argmax class; exact logit ties resolve to the lowest
     class index.
     """
-    if not ds.samples:
+    if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    features, labels = ds.dense()
-    _, logits = _forward_batch(params, features)
+    _, logits = _forward_batch(params, ds.features)
     predictions = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(predictions == labels))
-    return accuracy, _mean_cross_entropy(logits, labels)
+    accuracy = float(np.mean(predictions == ds.labels))
+    return accuracy, _mean_cross_entropy(logits, ds.labels)
 
 
-def finite_diff_check(params: ModelParams, batch, eps: float) -> float:
+def finite_diff_check(params: ModelParams, features, labels, eps: float) -> float:
     """Max relative error between backprop and central finite differences.
 
     Per coordinate: |diff - g| / max(1e-8, |diff| + |g|), maximized over all
@@ -179,15 +189,15 @@ def finite_diff_check(params: ModelParams, batch, eps: float) -> float:
     """
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    _, grad = loss_and_grad(params, batch)
+    _, grad = loss_and_grad(params, features, labels)
     base = params.values
     worst = 0.0
     for i in range(base.shape[0]):
         bumped = base.copy()
         bumped[i] = base[i] + eps
-        plus = loss_and_grad(ModelParams(params.arch, bumped), batch)[0]
+        plus = loss_and_grad(ModelParams(params.arch, bumped), features, labels)[0]
         bumped[i] = base[i] - eps
-        minus = loss_and_grad(ModelParams(params.arch, bumped), batch)[0]
+        minus = loss_and_grad(ModelParams(params.arch, bumped), features, labels)[0]
         diff = (plus - minus) / (2.0 * eps)
         rel = abs(diff - grad[i]) / max(1e-8, abs(diff) + abs(grad[i]))
         worst = max(worst, rel)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset, LabeledSample, LabelHistogram, histogram
+from .datasets import LabeledDataset, LabelHistogram, histogram
 from .errors import StateError
 
 # rejection-sampling cap for the label-coverage constraint
@@ -21,10 +21,12 @@ MAX_COVERAGE_ATTEMPTS = 10_000
 
 @dataclass
 class DatasetShard:
-    """One node's local data plus its label histogram."""
+    """One node's local rows (``features`` (n, dims), ``labels`` (n,)) plus
+    their label histogram and row count."""
 
     node_id: int
-    samples: list[LabeledSample]
+    features: np.ndarray
+    labels: np.ndarray
     hist: LabelHistogram
     total: int
 
@@ -42,18 +44,20 @@ class PartitionPlan:
     seed: int = 0
 
 
-def make_shard(node_id: int, samples: list[LabeledSample], num_classes: int) -> DatasetShard:
-    """Build a shard with a consistent histogram and total."""
-    hist = histogram(LabeledDataset(samples, num_classes, samples[0].features.shape[0] if samples else 0))
-    return DatasetShard(node_id, samples, hist, len(samples))
+def make_shard(node_id: int, ds: LabeledDataset, rows) -> DatasetShard:
+    """Gather ``ds``'s rows (in the given order) into a shard with a
+    consistent histogram and total."""
+    rows = np.asarray(rows, dtype=np.intp)
+    labels = ds.labels[rows]
+    hist = LabelHistogram(np.bincount(labels, minlength=ds.num_classes))
+    return DatasetShard(node_id, ds.features[rows], labels, hist, len(rows))
 
 
 def _shards_from_label_sets(ds: LabeledDataset, label_sets: list[set[int]]) -> list[DatasetShard]:
-    shards = []
-    for node_id, labels in enumerate(label_sets):
-        samples = [s for s in ds.samples if s.label in labels]
-        shards.append(make_shard(node_id, samples, ds.num_classes))
-    return shards
+    return [
+        make_shard(node_id, ds, np.flatnonzero(np.isin(ds.labels, sorted(labels))))
+        for node_id, labels in enumerate(label_sets)
+    ]
 
 
 def split_contiguous_labels(ds: LabeledDataset, num_nodes: int) -> list[DatasetShard]:
@@ -107,21 +111,20 @@ def split_random_k_labels(
 
 def _assign_by_counts(ds: LabeledDataset, counts: list[list[int]]) -> list[DatasetShard]:
     """Assign the first available samples of each class, in dataset order."""
-    by_class = [[i for i, s in enumerate(ds.samples) if s.label == c] for c in range(ds.num_classes)]
+    by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
     cursors = [0] * ds.num_classes
     shards = []
     for node_id, row in enumerate(counts):
-        picked: list[int] = []
+        picked = []
         for c, n in enumerate(row):
             avail = len(by_class[c]) - cursors[c]
             if n > avail:
                 raise ValueError(
                     f"node {node_id} requests {n} samples of class {c}, only {avail} remain"
                 )
-            picked.extend(by_class[c][cursors[c] : cursors[c] + n])
+            picked.append(by_class[c][cursors[c] : cursors[c] + n])
             cursors[c] += n
-        picked.sort()
-        shards.append(make_shard(node_id, [ds.samples[i] for i in picked], ds.num_classes))
+        shards.append(make_shard(node_id, ds, np.sort(np.concatenate(picked))))
     return shards
 
 

@@ -83,19 +83,29 @@ def select_next_dynamic(state: RoutingState, shards, cfg: RoutingConfig) -> int:
 
     Every nonempty shard is a candidate, including the current holder; ties
     break to the lowest node index. Raises StateError if all shards are empty.
+
+    All candidate ledgers (ledger plus :func:`expected_usage`, computed with
+    the same arithmetic) are scored with one vectorised variance. Its
+    summation order differs from :func:`dispersion`'s, so it only
+    shortlists: every candidate within 1e-9 * (1 + max entry**2) of the best
+    score, far wider than the rounding error of either sum. The bound scales
+    with the entries, not with the best score, which can be exactly 0. The
+    exact ``dispersion`` then decides among the shortlist.
     """
-    best_node = None
-    best_var = None
-    for shard in sorted(shards, key=lambda s: s.node_id):
-        if shard.total <= 0:
-            continue
-        candidate = LabelHistogram(state.cumulative.counts + expected_usage(shard, cfg).counts)
-        var = dispersion(candidate)
-        if best_var is None or var < best_var:
-            best_node, best_var = shard.node_id, var
-    if best_node is None:
+    nodes = [s for s in sorted(shards, key=lambda s: s.node_id) if s.total > 0]
+    if not nodes:
         raise StateError("no nonempty shard to route to")
-    return best_node
+    volume = cfg.batch_size * cfg.interval
+    totals = np.array([s.total for s in nodes], dtype=np.float64)
+    usage = np.array([s.hist.counts for s in nodes]) * (volume / totals)[:, None]
+    candidates = state.cumulative.counts + usage
+    scores = candidates.var(axis=1)
+    tolerance = 1e-9 * (1.0 + float(np.abs(candidates).max()) ** 2)
+    shortlist = np.flatnonzero(scores <= scores.min() + tolerance)
+    if len(shortlist) == 1:
+        return nodes[shortlist[0]].node_id
+    exact = [dispersion(LabelHistogram(candidates[i])) for i in shortlist]
+    return nodes[shortlist[exact.index(min(exact))]].node_id
 
 
 def next_static(route: StaticRoute) -> int:

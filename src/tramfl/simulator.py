@@ -150,8 +150,9 @@ def run_tram_fl(shards, test_set, cfg: RunConfig, policy: PolicySpec | None = No
     transmissions = 0
     reached: int | None = None
     for iteration in range(1, cfg.max_iterations + 1):
-        batch, counts = draw_minibatch(shards[holder], cfg.batch_size, rng)
-        _, grad = loss_and_grad(params, batch)
+        shard = shards[holder]
+        idx, counts = draw_minibatch(shard, cfg.batch_size, rng)
+        _, grad = loss_and_grad(params, shard.features[idx], shard.labels[idx])
         params = sgd_step(params, grad, cfg.learning_rate)
         state = update_ledger(state, counts)
         if iteration % cfg.interval == 0:
@@ -206,9 +207,9 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     eval_bucket = 0
     averaged = shared
     for round_num in range(1, cfg.max_iterations + 1):
-        for i in range(num_nodes):
-            batch, _ = draw_minibatch(shards[i], cfg.batch_size, rng)
-            _, grad = loss_and_grad(models[i], batch)
+        for i, shard in enumerate(shards):
+            idx, _ = draw_minibatch(shard, cfg.batch_size, rng)
+            _, grad = loss_and_grad(models[i], shard.features[idx], shard.labels[idx])
             models[i] = sgd_step(models[i], grad, cfg.learning_rate)
         averaged = average_params(models, [1.0] * num_nodes)
         models = [averaged] * num_nodes

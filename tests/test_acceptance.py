@@ -34,7 +34,6 @@ from tramfl import (
     update_ledger,
 )
 from tramfl.cli import main
-from tramfl.datasets import LabeledSample
 from tramfl.partition import DatasetShard
 from tramfl.routing import dispersion
 
@@ -64,7 +63,8 @@ def target_accuracy(task):
 
 def _fake_shard(node_id, counts):
     counts = np.asarray(counts, dtype=float)
-    return DatasetShard(node_id, [], LabelHistogram(counts), int(counts.sum()))
+    return DatasetShard(node_id, np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
+                        LabelHistogram(counts), int(counts.sum()))
 
 
 def _naive_next_node(ledger, rows, batch_size, interval):
@@ -105,8 +105,8 @@ def test_criterion_1_routing_rule_oracle_equivalence():
 def test_criterion_2_uniform_ledger_realization():
     # two nodes holding one distinct label each, one sample per batch and visit
     shards = [
-        DatasetShard(0, [LabeledSample(np.zeros(2), 0)] * 8, LabelHistogram([8, 0]), 8),
-        DatasetShard(1, [LabeledSample(np.zeros(2), 1)] * 8, LabelHistogram([0, 8]), 8),
+        DatasetShard(0, np.zeros((8, 2)), np.full(8, 0), LabelHistogram([8, 0]), 8),
+        DatasetShard(1, np.zeros((8, 2)), np.full(8, 1), LabelHistogram([0, 8]), 8),
     ]
     cfg = RoutingConfig(batch_size=1, interval=1)
 
@@ -151,10 +151,9 @@ def test_criterion_3_gradient_correctness():
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         params = init_he(arch, seed)
-        batch = [
-            LabeledSample(rng.standard_normal(4), int(rng.integers(3))) for _ in range(8)
-        ]
-        assert finite_diff_check(params, batch, 1e-5) < 1e-4
+        rows = [(rng.standard_normal(4), int(rng.integers(3))) for _ in range(8)]
+        features, labels = np.stack([f for f, _ in rows]), np.array([y for _, y in rows])
+        assert finite_diff_check(params, features, labels, 1e-5) < 1e-4
 
 
 def test_criterion_4_transmission_accounting():
@@ -316,4 +315,4 @@ def test_criterion_8_partition_fidelity(mnist_shaped, review_shaped):
     assert [s.hist.counts.tolist() for s in v5] == [
         [7875.0, 1125.0], [2875.0, 2375.0], [1125.0, 2875.0], [375.0, 3000.0], [250.0, 3125.0]
     ]
-    assert sum(s.total for s in v5) == len(review_shaped.samples)
+    assert sum(s.total for s in v5) == len(review_shaped)

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tramfl import enumerate_static_routes, parse_config, run_experiment
-from tramfl.cli import main
+from tramfl import enumerate_static_routes, parse_config
+from tramfl.cli import main, run_experiment
 
 SMOKE_TEXT = """
 [dataset]

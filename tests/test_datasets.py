@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tramfl import (
     ArchSpec,
     LabeledDataset,
-    LabeledSample,
     ParseError,
     StateError,
     draw_minibatch,
@@ -27,7 +26,7 @@ from tramfl.partition import make_shard, split_contiguous_labels
 
 def test_generate_counts_and_histogram():
     ds = generate_synthetic(2, 2, 5, 3.0, 7)
-    assert len(ds.samples) == 10
+    assert len(ds) == 10
     assert histogram(ds).counts.tolist() == [5.0, 5.0]
 
 
@@ -59,8 +58,8 @@ def test_generate_centralized_training_oracle():
     params = init_he(ArchSpec((8, 32, 10)), 9)
     rng = np.random.default_rng(9)
     for _ in range(2000):
-        batch, _ = draw_minibatch(shard, 16, rng)
-        _, grad = loss_and_grad(params, batch)
+        idx, _ = draw_minibatch(shard, 16, rng)
+        _, grad = loss_and_grad(params, shard.features[idx], shard.labels[idx])
         params = sgd_step(params, grad, 0.05)
     accuracy, _ = evaluate(params, test)
     assert accuracy > 0.9
@@ -72,8 +71,8 @@ def test_generate_split_shares_class_means():
     assert histogram(test).counts.tolist() == [10.0] * 10
     # class centroids of the two halves agree (same blobs, unit noise)
     for c in range(10):
-        mean_train = np.mean([s.features for s in train.samples if s.label == c], axis=0)
-        mean_test = np.mean([s.features for s in test.samples if s.label == c], axis=0)
+        mean_train = np.mean(train.features[train.labels == c], axis=0)
+        mean_test = np.mean(test.features[test.labels == c], axis=0)
         assert np.linalg.norm(mean_train - mean_test) < 2.5
 
 
@@ -81,10 +80,10 @@ def test_load_csv_basic(tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
     ds = load_csv(path)
-    assert len(ds.samples) == 2
+    assert len(ds) == 2
     assert ds.dims == 2
     assert ds.num_classes == 2
-    assert ds.samples[1].features.tolist() == [3.0, 4.0]
+    assert ds.features[1].tolist() == [3.0, 4.0]
 
 
 def test_csv_roundtrip(tmp_path):
@@ -138,13 +137,12 @@ def test_csv_non_integer_label(tmp_path):
 
 
 def test_histogram_direct_count():
-    samples = [LabeledSample(np.zeros(1), label) for label in (0, 0, 1, 2)]
-    ds = LabeledDataset(samples, 3, 1)
+    ds = LabeledDataset(np.zeros((4, 1)), [0, 0, 1, 2], 3, 1)
     assert histogram(ds).counts.tolist() == [2.0, 1.0, 1.0]
 
 
 def test_histogram_empty_dataset():
-    ds = LabeledDataset([], 3, 1)
+    ds = LabeledDataset(np.zeros((0, 1)), [], 3, 1)
     assert histogram(ds).counts.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -155,14 +153,13 @@ def test_histogram_benchmark_scale_shard(mnist_shaped):
 
 @given(st.lists(st.integers(min_value=0, max_value=4), max_size=60))
 def test_histogram_sums_to_sample_count(labels):
-    samples = [LabeledSample(np.zeros(1), label) for label in labels]
-    ds = LabeledDataset(samples, 5, 1)
+    ds = LabeledDataset(np.zeros((len(labels), 1)), labels, 5, 1)
     assert histogram(ds).total() == len(labels)
 
 
 def _single_label_shard(label, num_classes, count):
-    samples = [LabeledSample(np.zeros(2), label) for _ in range(count)]
-    return make_shard(0, samples, num_classes)
+    ds = LabeledDataset(np.zeros((count, 2)), np.full(count, label), num_classes, 2)
+    return make_shard(0, ds, np.arange(count))
 
 
 def test_minibatch_single_label_counts():
@@ -174,22 +171,20 @@ def test_minibatch_single_label_counts():
 def test_minibatch_exhaustion_is_permutation():
     ds = generate_synthetic(2, 2, 5, 3.0, 1)
     shard = split_contiguous_labels(ds, 1)[0]
-    batch, counts = draw_minibatch(shard, shard.total, np.random.default_rng(2))
-    assert collections.Counter(id(s) for s in batch) == collections.Counter(
-        id(s) for s in shard.samples
-    )
+    idx, counts = draw_minibatch(shard, shard.total, np.random.default_rng(2))
+    assert collections.Counter(idx.tolist()) == collections.Counter(range(shard.total))
     assert counts.total() == shard.total
 
 
 def test_minibatch_small_shard_falls_back_to_replacement():
     shard = _single_label_shard(0, 2, 3)
-    batch, counts = draw_minibatch(shard, 5, np.random.default_rng(0))
-    assert len(batch) == 5
+    idx, counts = draw_minibatch(shard, 5, np.random.default_rng(0))
+    assert len(idx) == 5
     assert counts.total() == 5
 
 
 def test_minibatch_empty_shard_error():
-    shard = make_shard(0, [], 2)
+    shard = make_shard(0, LabeledDataset(np.zeros((0, 2)), [], 2, 2), [])
     with pytest.raises(StateError):
         draw_minibatch(shard, 1, np.random.default_rng(0))
 
@@ -206,7 +201,7 @@ def test_minibatch_advances_rng():
     rng = np.random.default_rng(5)
     first, _ = draw_minibatch(shard, 10, rng)
     second, _ = draw_minibatch(shard, 10, rng)
-    assert [id(s) for s in first] != [id(s) for s in second]
+    assert first.tolist() != second.tolist()
 
 
 def test_minibatch_deterministic_given_state():
@@ -214,14 +209,13 @@ def test_minibatch_deterministic_given_state():
     shard = split_contiguous_labels(ds, 1)[0]
     a, _ = draw_minibatch(shard, 10, np.random.default_rng(5))
     b, _ = draw_minibatch(shard, 10, np.random.default_rng(5))
-    assert [id(s) for s in a] == [id(s) for s in b]
+    assert a.tolist() == b.tolist()
 
 
 def test_minibatch_label_mean_converges():
     # balanced two-label shard: expected count per label is B * L_j / N_j = 5
-    samples = [LabeledSample(np.zeros(1), 0) for _ in range(50)]
-    samples += [LabeledSample(np.zeros(1), 1) for _ in range(50)]
-    shard = make_shard(0, samples, 2)
+    ds = LabeledDataset(np.zeros((100, 1)), [0] * 50 + [1] * 50, 2, 1)
+    shard = make_shard(0, ds, np.arange(100))
     rng = np.random.default_rng(11)
     draws = 10_000
     totals = np.zeros(2)

@@ -25,7 +25,6 @@ from tramfl import (
     split_random_k_labels,
 )
 from tramfl.cli import main
-from tramfl.datasets import LabeledSample
 
 QUICKSTART = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "quickstart.cfg")
 
@@ -85,5 +84,7 @@ def test_quickstart_outputs(tmp_path, capsys):
 
 def test_finite_diff_check_value():
     rng = np.random.default_rng(1001)
-    batch = [LabeledSample(rng.standard_normal(4), int(rng.integers(3))) for _ in range(8)]
-    assert repr(finite_diff_check(init_he(ArchSpec((4, 8, 3)), 1), batch, 1e-5)) == FINITE_DIFF_REPR
+    rows = [(rng.standard_normal(4), int(rng.integers(3))) for _ in range(8)]
+    features, labels = np.stack([f for f, _ in rows]), np.array([y for _, y in rows])
+    value = finite_diff_check(init_he(ArchSpec((4, 8, 3)), 1), features, labels, 1e-5)
+    assert repr(value) == FINITE_DIFF_REPR

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tramfl import (
     ArchSpec,
     LabeledDataset,
-    LabeledSample,
     ModelParams,
     average_params,
     evaluate,
@@ -19,10 +18,9 @@ from tramfl import (
 
 
 def _random_batch(rng, dims, num_classes, size):
-    return [
-        LabeledSample(rng.standard_normal(dims), int(rng.integers(num_classes)))
-        for _ in range(size)
-    ]
+    """(features, labels), drawn row by row in the interleaved order."""
+    rows = [(rng.standard_normal(dims), int(rng.integers(num_classes))) for _ in range(size)]
+    return np.stack([f for f, _ in rows]), np.array([y for _, y in rows])
 
 
 def _zero_params(arch):
@@ -102,21 +100,22 @@ def test_forward_normalizes(seed):
 def test_loss_zero_params_is_log_classes():
     rng = np.random.default_rng(0)
     params = _zero_params(ArchSpec((3, 10)))
-    loss, _ = loss_and_grad(params, _random_batch(rng, 3, 10, 6))
+    loss, _ = loss_and_grad(params, *_random_batch(rng, 3, 10, 6))
     assert loss == pytest.approx(np.log(10.0), rel=1e-12)
 
 
 def test_loss_empty_batch_error():
     with pytest.raises(ValueError):
-        loss_and_grad(_zero_params(ArchSpec((3, 2))), [])
+        loss_and_grad(_zero_params(ArchSpec((3, 2))), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 def test_loss_duplicated_batch_invariant():
     rng = np.random.default_rng(3)
     params = init_he(ArchSpec((4, 6, 3)), 1)
-    batch = _random_batch(rng, 4, 3, 5)
-    loss_a, grad_a = loss_and_grad(params, batch)
-    loss_b, grad_b = loss_and_grad(params, batch + batch)
+    features, labels = _random_batch(rng, 4, 3, 5)
+    loss_a, grad_a = loss_and_grad(params, features, labels)
+    loss_b, grad_b = loss_and_grad(params, np.vstack([features, features]),
+                                   np.concatenate([labels, labels]))
     assert loss_b == pytest.approx(loss_a, rel=1e-12)
     assert np.allclose(grad_a, grad_b, atol=1e-12)
 
@@ -126,7 +125,7 @@ def test_gradient_matches_finite_differences():
         rng = np.random.default_rng(seed)
         params = init_he(ArchSpec((4, 8, 3)), seed)
         batch = _random_batch(rng, 4, 3, 8)
-        assert finite_diff_check(params, batch, 1e-5) < 1e-4
+        assert finite_diff_check(params, *batch, 1e-5) < 1e-4
 
 
 def test_gradient_check_up_to_500_params():
@@ -136,21 +135,20 @@ def test_gradient_check_up_to_500_params():
         assert arch.num_params() <= 500
         params = init_he(arch, 70)
         batch = _random_batch(rng, sizes[0], sizes[-1], 6)
-        assert finite_diff_check(params, batch, 1e-5) < 1e-4
+        assert finite_diff_check(params, *batch, 1e-5) < 1e-4
 
 
 def test_linear_model_finite_diff_is_tight():
     rng = np.random.default_rng(1)
     params = init_he(ArchSpec((3, 4)), 2)
     batch = _random_batch(rng, 3, 4, 6)
-    assert finite_diff_check(params, batch, 1e-5) < 1e-6
+    assert finite_diff_check(params, *batch, 1e-5) < 1e-6
 
 
 def test_finite_diff_rejects_zero_eps():
     params = _zero_params(ArchSpec((2, 2)))
-    batch = [LabeledSample(np.ones(2), 0)]
     with pytest.raises(ValueError):
-        finite_diff_check(params, batch, 0.0)
+        finite_diff_check(params, np.ones((1, 2)), np.array([0]), 0.0)
 
 
 def test_sgd_zero_gradient_fixed_point():
@@ -194,11 +192,11 @@ def test_sgd_decreases_loss_with_small_enough_eta():
     rng = np.random.default_rng(12)
     params = init_he(ArchSpec((4, 6, 3)), 3)
     batch = _random_batch(rng, 4, 3, 8)
-    loss, grad = loss_and_grad(params, batch)
+    loss, grad = loss_and_grad(params, *batch)
     assert np.linalg.norm(grad) > 1e-12
     eta = 0.5
     for _ in range(60):
-        stepped_loss, _ = loss_and_grad(sgd_step(params, grad, eta), batch)
+        stepped_loss, _ = loss_and_grad(sgd_step(params, grad, eta), *batch)
         if stepped_loss < loss:
             break
         eta /= 2
@@ -207,10 +205,9 @@ def test_sgd_decreases_loss_with_small_enough_eta():
 
 
 def _balanced_dataset(rng, num_classes, per_class, dims):
-    samples = []
-    for c in range(num_classes):
-        samples.extend(LabeledSample(rng.standard_normal(dims), c) for _ in range(per_class))
-    return LabeledDataset(samples, num_classes, dims)
+    features = [rng.standard_normal(dims) for _ in range(num_classes * per_class)]
+    labels = np.repeat(np.arange(num_classes), per_class)
+    return LabeledDataset(np.stack(features), labels, num_classes, dims)
 
 
 def test_evaluate_zero_params_balanced():
@@ -226,14 +223,13 @@ def test_evaluate_perfect_separation():
     values = np.zeros(arch.num_params())
     values[:4] = np.array([[10.0, -10.0], [-10.0, 10.0]]).ravel()
     params = ModelParams(arch, values)
-    samples = [LabeledSample(np.array([1.0, 0.0]), 0), LabeledSample(np.array([0.0, 1.0]), 1)]
-    accuracy, _ = evaluate(params, LabeledDataset(samples, 2, 2))
+    accuracy, _ = evaluate(params, LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1], 2, 2))
     assert accuracy == 1.0
 
 
 def test_evaluate_empty_error():
     with pytest.raises(ValueError):
-        evaluate(_zero_params(ArchSpec((2, 2))), LabeledDataset([], 2, 2))
+        evaluate(_zero_params(ArchSpec((2, 2))), LabeledDataset(np.zeros((0, 2)), [], 2, 2))
 
 
 def test_evaluate_accuracy_in_unit_range():

@@ -44,17 +44,19 @@ def test_contiguous_too_many_nodes():
 def test_contiguous_is_a_partition():
     ds = generate_synthetic(7, 2, 9, 2.0, 5)
     shards = split_contiguous_labels(ds, 3)
-    assert sum(s.total for s in shards) == len(ds.samples)
+    assert sum(s.total for s in shards) == len(ds)
     merged = sum(s.hist.counts for s in shards)
     assert merged.tolist() == histogram(ds).counts.tolist()
-    seen = [id(sample) for s in shards for sample in s.samples]
-    assert len(seen) == len(set(seen)) == len(ds.samples)
+    # the blob rows are all distinct, so a row identifies its sample
+    seen = [(y, *row) for s in shards for y, row in zip(s.labels.tolist(), s.features.tolist())]
+    assert len(seen) == len(set(seen)) == len(ds)
+    assert set(seen) == {(y, *row) for y, row in zip(ds.labels.tolist(), ds.features.tolist())}
 
 
 def test_contiguous_shard_invariants():
     ds = generate_synthetic(5, 2, 6, 2.0, 5)
     for shard in split_contiguous_labels(ds, 2):
-        assert shard.total == len(shard.samples) == shard.hist.total()
+        assert shard.total == len(shard.labels) == len(shard.features) == shard.hist.total()
         assert histogram(shard) == shard.hist
 
 
@@ -69,7 +71,8 @@ def test_random_k_single_node_identity():
     ds = generate_synthetic(4, 2, 5, 2.0, 0)
     shards = split_random_k_labels(ds, 1, 4, 4, np.random.default_rng(1))
     assert len(shards) == 1
-    assert shards[0].samples == ds.samples
+    assert np.array_equal(shards[0].features, ds.features)
+    assert np.array_equal(shards[0].labels, ds.labels)
 
 
 def test_random_k_coverage_over_many_draws():
@@ -180,9 +183,9 @@ def test_exponential_analytic_skews_opposite_ways():
 
 def test_exponential_assigns_in_dataset_order(review_shaped):
     shards = split_exponential_binary(review_shaped, 3, counts=REVIEW_TABLE_V3)
-    first_class0 = [s for s in review_shaped.samples if s.label == 0][:10125]
-    got_class0 = [s for s in shards[0].samples if s.label == 0]
-    assert got_class0 == first_class0
+    first_class0 = review_shaped.features[review_shaped.labels == 0][:10125]
+    got_class0 = shards[0].features[shards[0].labels == 0]
+    assert np.array_equal(got_class0, first_class0)
 
 
 def test_make_shards_dispatch(mnist_shaped):

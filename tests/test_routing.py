@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tramfl import (
@@ -22,7 +22,8 @@ from tramfl.partition import DatasetShard
 def fake_shard(node_id, counts):
     """Shard stub for routing tests: only hist/total/node_id are consulted."""
     counts = np.asarray(counts, dtype=float)
-    return DatasetShard(node_id, [], LabelHistogram(counts), int(counts.sum()))
+    return DatasetShard(node_id, np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
+                        LabelHistogram(counts), int(counts.sum()))
 
 
 def naive_next_node(ledger, shard_rows, batch_size, interval):
@@ -169,6 +170,92 @@ def test_select_matches_bruteforce_on_random_instances():
         shards = [fake_shard(i, counts) for i, counts in rows]
         got = select_next_dynamic(_state(ledger), shards, RoutingConfig(batch_size, interval))
         assert got == naive_next_node(ledger.tolist(), rows, batch_size, interval)
+
+
+def sequential_select(state, shards, cfg):
+    """The per-candidate loop the vectorised router replaced, kept verbatim as
+    its oracle: one exact ``dispersion`` per nonempty shard, in node order."""
+    best_node = None
+    best_var = None
+    for shard in sorted(shards, key=lambda s: s.node_id):
+        if shard.total <= 0:
+            continue
+        candidate = LabelHistogram(state.cumulative.counts + expected_usage(shard, cfg).counts)
+        var = dispersion(candidate)
+        if best_var is None or var < best_var:
+            best_node, best_var = shard.node_id, var
+    if best_node is None:
+        raise StateError("no nonempty shard to route to")
+    return best_node
+
+
+@st.composite
+def routing_cases(draw):
+    """Ledger, shard rows under shuffled node ids, batch size and interval.
+
+    Rows mix random, empty, uniform, duplicated and permuted label counts, so
+    exact and near ties between candidates are common; ledgers are random or
+    uniform, with entries up to 1e8.
+    """
+    num_classes = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(st.integers(min_value=0, max_value=50),
+                   min_size=num_classes, max_size=num_classes)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["random", "empty", "uniform", "duplicate", "permuted"]))
+        if kind == "empty":
+            rows.append([0] * num_classes)
+        elif kind == "uniform":
+            rows.append([draw(st.integers(min_value=1, max_value=20))] * num_classes)
+        elif kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "permuted" and rows:
+            rows.append(list(draw(st.permutations(draw(st.sampled_from(rows))))))
+        else:
+            rows.append(draw(row))
+    node_ids = draw(st.permutations(range(len(rows))))
+    top = draw(st.sampled_from([200, 10**4, 10**8]))
+    entry = st.integers(min_value=0, max_value=top)
+    ledger = draw(st.one_of(
+        st.lists(entry, min_size=num_classes, max_size=num_classes),
+        entry.map(lambda k: [k] * num_classes),
+    ))
+    batch_size = draw(st.integers(min_value=1, max_value=64))
+    interval = draw(st.integers(min_value=1, max_value=8))
+    return ledger, list(zip(node_ids, rows)), batch_size, interval
+
+
+# Permuted rows under a uniform ledger tie mathematically; rounding then
+# ranks them differently in numpy's variance and in the sequential sum.
+PERMUTED_TIES = [
+    ([71] * 8, list(enumerate([[46, 4, 8, 34, 10, 16, 29, 8], [4, 46, 8, 8, 29, 34, 16, 10],
+                               [29, 34, 16, 4, 10, 46, 8, 8], [4, 46, 16, 8, 8, 10, 29, 34]])),
+     54, 3),
+    ([0] * 8, list(enumerate([[48, 14, 28, 21, 26, 28, 31, 17], [21, 17, 48, 31, 26, 28, 28, 14]])),
+     19, 8),
+    ([288] * 8, list(enumerate([[16, 2, 0, 33, 46, 17, 16, 3], [2, 33, 3, 0, 17, 16, 46, 16],
+                                [16, 3, 17, 33, 0, 16, 46, 2], [2, 17, 3, 46, 16, 16, 33, 0]])),
+     54, 7),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(routing_cases())
+@example(PERMUTED_TIES[0])
+@example(PERMUTED_TIES[1])
+@example(PERMUTED_TIES[2])
+def test_select_matches_sequential_oracle(case):
+    ledger, rows, batch_size, interval = case
+    shards = [fake_shard(node_id, counts) for node_id, counts in rows]
+    state = _state(np.asarray(ledger, dtype=float))
+    cfg = RoutingConfig(batch_size, interval)
+    try:
+        expected = sequential_select(state, shards, cfg)
+    except StateError:
+        with pytest.raises(StateError):
+            select_next_dynamic(state, shards, cfg)
+        return
+    assert select_next_dynamic(state, shards, cfg) == expected
 
 
 def test_static_route_cycles_in_order():

@@ -140,7 +140,7 @@ def test_early_stop_records_target(small_task):
 
 def test_no_nonempty_shard_is_state_error(small_task):
     _, test = small_task
-    shards = [make_shard(0, [], 4), make_shard(1, [], 4)]
+    shards = [make_shard(0, test, []), make_shard(1, test, [])]
     with pytest.raises(StateError):
         run_tram_fl(shards, test, _cfg())
 
@@ -175,7 +175,7 @@ def test_gossip_needs_two_nodes_and_data(small_task):
     with pytest.raises(ValueError):
         run_gossip(split_contiguous_labels(train, 1), test, _cfg(policy=PolicySpec("gossip")))
     shards = split_contiguous_labels(train, 2)
-    shards[1] = make_shard(1, [], 4)
+    shards[1] = make_shard(1, train, [])
     with pytest.raises(StateError):
         run_gossip(shards, test, _cfg(policy=PolicySpec("gossip")))
 
@@ -192,8 +192,8 @@ def test_gossip_round_equals_averaged_gradient_step(small_task):
     for _ in range(cfg.max_iterations):
         grads = []
         for shard in shards:
-            batch, _ = draw_minibatch(shard, cfg.batch_size, rng)
-            grads.append(loss_and_grad(params, batch)[1])
+            idx, _ = draw_minibatch(shard, cfg.batch_size, rng)
+            grads.append(loss_and_grad(params, shard.features[idx], shard.labels[idx])[1])
         params = sgd_step(params, np.mean(grads, axis=0), cfg.learning_rate)
     assert np.allclose(result.final_params.values, params.values, atol=1e-12)
 
@@ -201,11 +201,8 @@ def test_gossip_round_equals_averaged_gradient_step(small_task):
 def test_gossip_iid_shards_match_centralized_curve():
     train, test = generate_synthetic_split(10, 8, 100, 50, 4.0, 31)
     rng = np.random.default_rng(5)
-    chunks = np.array_split(rng.permutation(len(train.samples)), 5)
-    shards = [
-        make_shard(i, [train.samples[j] for j in chunk], train.num_classes)
-        for i, chunk in enumerate(chunks)
-    ]
+    chunks = np.array_split(rng.permutation(len(train)), 5)
+    shards = [make_shard(i, train, chunk) for i, chunk in enumerate(chunks)]
     rounds = 150
     arch = ArchSpec((8, 32, 10))
     gossip = run_gossip(
