@@ -59,7 +59,6 @@ from .simulator import (
     run_gossip,
     run_tram_fl,
     run_trials,
-    transmissions_to_accuracy,
 )
 
 __version__ = "0.1.0"

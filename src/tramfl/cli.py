@@ -14,27 +14,16 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, format_config, parse_config, parse_config_text
+from .config import ConfigError, ExperimentConfig, parse_config
 from .datasets import LabeledDataset, generate_synthetic_split, load_csv
 from .errors import ParseError, StateError
-from .learner import ArchSpec, ModelParams
-from .partition import PartitionPlan, make_shards
-from .routing import enumerate_static_routes  # re-export: part of the CLI surface
-from .simulator import RunConfig, TrialsSummary, run_trials
-
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "enumerate_static_routes",
-    "format_config",
-    "main",
-    "parse_config",
-    "parse_config_text",
-    "run_experiment",
-]
+from .learner import ModelParams
+from .partition import make_shards
+from .simulator import TrialsSummary, run_trials
 
 CSV_COLUMNS = "trial,iteration,transmissions,holder,test_loss,test_accuracy"
 
@@ -47,7 +36,7 @@ def _build_datasets(cfg: ExperimentConfig, csv_header: bool) -> tuple[LabeledDat
         )
     train = load_csv(d.train, has_header=d.header or csv_header)
     test = load_csv(d.test, has_header=d.header or csv_header)
-    layers = cfg.learner.layers
+    layers = cfg.run.arch.layer_sizes
     if train.dims != layers[0] or test.dims != layers[0]:
         raise ConfigError(
             f"learner.layers: first size {layers[0]} does not match CSV dims "
@@ -56,6 +45,11 @@ def _build_datasets(cfg: ExperimentConfig, csv_header: bool) -> tuple[LabeledDat
     if train.num_classes > layers[-1] or test.num_classes > layers[-1]:
         raise ConfigError(
             f"learner.layers: last size {layers[-1]} is smaller than the CSV label range"
+        )
+    unseen = np.setdiff1d(test.labels, train.labels)
+    if len(unseen):
+        raise ConfigError(
+            f"dataset.test: labels {unseen.tolist()} do not occur in the training set {d.train}"
         )
     return train, test
 
@@ -100,27 +94,14 @@ def run_experiment(
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
     train, test = _build_datasets(cfg, csv_header)
-    p = cfg.partition
-    plan = PartitionPlan(p.scheme, p.nodes, k_min=p.k_min, k_max=p.k_max,
-                         rate=p.rate, counts=p.counts, seed=p.seed)
-    shards = make_shards(train, plan)
-    base = RunConfig(
-        arch=ArchSpec(cfg.learner.layers),
-        learning_rate=cfg.learner.eta,
-        batch_size=cfg.learner.batch,
-        interval=cfg.run.interval,
-        max_iterations=cfg.run.iterations,
-        eval_every=cfg.run.eval_every,
-        target_accuracy=cfg.run.target_accuracy,
-        seed=cfg.run.seed,
-        count_exchanges_once=count_exchanges_once,
-    )
+    shards = make_shards(train, cfg.partition)
+    base = replace(cfg.run, count_exchanges_once=count_exchanges_once)
     os.makedirs(out_dir, exist_ok=True)
 
     summaries: list[tuple[str, TrialsSummary]] = []
     last_params = None
     for label, spec in cfg.policies:
-        summary = run_trials(shards, test, base, policy=spec, num_trials=cfg.run.trials)
+        summary = run_trials(shards, test, replace(base, policy=spec), num_trials=cfg.trials)
         _write_results_csv(os.path.join(out_dir, f"results_{label}.csv"), summary)
         summaries.append((label, summary))
         last_params = summary.results[-1].final_params

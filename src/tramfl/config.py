@@ -16,8 +16,10 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .learner import ArchSpec
+from .partition import PartitionPlan
 from .routing import enumerate_static_routes
-from .simulator import PolicySpec
+from .simulator import PolicySpec, RunConfig
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 _DATASET_KINDS = ("synthetic", "csv")
@@ -39,39 +41,15 @@ class DatasetSection:
 
 
 @dataclass(frozen=True)
-class PartitionSection:
-    scheme: str
-    nodes: int
-    k_min: int | None = None
-    k_max: int | None = None
-    rate: float | None = None
-    counts: tuple[tuple[int, ...], ...] | None = None
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class LearnerSection:
-    layers: tuple[int, ...]
-    eta: float
-    batch: int
-
-
-@dataclass(frozen=True)
-class RunSection:
-    iterations: int
-    interval: int = 1
-    eval_every: int = 1
-    target_accuracy: float | None = None
-    trials: int = 1
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config. [partition] becomes the ``PartitionPlan`` and
+    [learner] plus [run] the base ``RunConfig`` (without a policy); only
+    ``run.trials`` has no runtime field, so it is kept here."""
+
     dataset: DatasetSection
-    partition: PartitionSection
-    learner: LearnerSection
-    run: RunSection
+    partition: PartitionPlan
+    run: RunConfig
+    trials: int
     policies: tuple[tuple[str, PolicySpec], ...]
 
 
@@ -230,7 +208,7 @@ def _build_dataset(parsed) -> DatasetSection:
     )
 
 
-def _build_partition(parsed, dataset: DatasetSection) -> PartitionSection:
+def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
     scheme = parsed["scheme"]
     if scheme not in _PARTITION_SCHEMES:
         raise ConfigError(f"partition.scheme: expected one of {_PARTITION_SCHEMES}, got {scheme!r}")
@@ -273,7 +251,7 @@ def _build_partition(parsed, dataset: DatasetSection) -> PartitionSection:
     for key in parsed:
         if key not in allowed:
             raise ConfigError(f"partition.{key}: not valid for scheme={scheme}")
-    return PartitionSection(
+    return PartitionPlan(
         scheme=scheme,
         nodes=nodes,
         k_min=parsed.get("k_min"),
@@ -284,7 +262,7 @@ def _build_partition(parsed, dataset: DatasetSection) -> PartitionSection:
     )
 
 
-def _build_learner(parsed, dataset: DatasetSection) -> LearnerSection:
+def _check_learner(parsed, dataset: DatasetSection) -> None:
     layers = parsed["layers"]
     if len(layers) < 2 or any(n < 1 for n in layers):
         raise ConfigError(f"learner.layers: need >= 2 positive sizes, got {layers}")
@@ -299,23 +277,30 @@ def _build_learner(parsed, dataset: DatasetSection) -> LearnerSection:
         raise ConfigError(f"learner.eta: must be > 0, got {parsed['eta']}")
     if parsed["batch"] < 1:
         raise ConfigError(f"learner.batch: must be >= 1, got {parsed['batch']}")
-    return LearnerSection(layers=layers, eta=parsed["eta"], batch=parsed["batch"])
 
 
-def _build_run(parsed) -> RunSection:
-    run = RunSection(
-        iterations=parsed["iterations"],
-        interval=parsed.get("interval", 1),
-        eval_every=parsed.get("eval_every", 1),
-        target_accuracy=parsed.get("target_accuracy"),
-        trials=parsed.get("trials", 1),
+def _build_run(learner, parsed) -> tuple[RunConfig, int]:
+    """The base RunConfig from [learner] and [run], plus run.trials."""
+    iterations = parsed["iterations"]
+    interval = parsed.get("interval", 1)
+    eval_every = parsed.get("eval_every", 1)
+    target_accuracy = parsed.get("target_accuracy")
+    trials = parsed.get("trials", 1)
+    if min(iterations, interval, eval_every, trials) < 1:
+        raise ConfigError("run.iterations/interval/eval_every/trials: must be >= 1")
+    if target_accuracy is not None and not 0 < target_accuracy <= 1:
+        raise ConfigError(f"run.target_accuracy: must be in (0, 1], got {target_accuracy}")
+    run = RunConfig(
+        arch=ArchSpec(learner["layers"]),
+        learning_rate=learner["eta"],
+        batch_size=learner["batch"],
+        interval=interval,
+        max_iterations=iterations,
+        eval_every=eval_every,
+        target_accuracy=target_accuracy,
         seed=parsed.get("seed", 0),
     )
-    if run.iterations < 1 or run.interval < 1 or run.eval_every < 1 or run.trials < 1:
-        raise ConfigError("run.iterations/interval/eval_every/trials: must be >= 1")
-    if run.target_accuracy is not None and not 0 < run.target_accuracy <= 1:
-        raise ConfigError(f"run.target_accuracy: must be in (0, 1], got {run.target_accuracy}")
-    return run
+    return run, trials
 
 
 def _parse_route(path, raw, nodes):
@@ -370,10 +355,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{name}]")
     dataset = _build_dataset(_take_section(raw_sections, "dataset"))
     partition = _build_partition(_take_section(raw_sections, "partition"), dataset)
-    learner = _build_learner(_take_section(raw_sections, "learner"), dataset)
-    run = _build_run(_take_section(raw_sections, "run"))
+    learner = _take_section(raw_sections, "learner")
+    _check_learner(learner, dataset)
+    run, trials = _build_run(learner, _take_section(raw_sections, "run"))
     policies = _build_policies(raw_sections, partition.nodes)
-    return ExperimentConfig(dataset, partition, learner, run, policies)
+    return ExperimentConfig(dataset, partition, run, trials, policies)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -425,14 +411,14 @@ def format_config(cfg: ExperimentConfig) -> str:
         ("scheme", p.scheme), ("nodes", p.nodes), ("k_min", p.k_min),
         ("k_max", p.k_max), ("rate", p.rate), ("counts", counts), ("seed", p.seed),
     ])
-    l = cfg.learner
-    section("learner", [
-        ("layers", ",".join(str(n) for n in l.layers)), ("eta", l.eta), ("batch", l.batch),
-    ])
     r = cfg.run
+    section("learner", [
+        ("layers", ",".join(str(n) for n in r.arch.layer_sizes)),
+        ("eta", r.learning_rate), ("batch", r.batch_size),
+    ])
     section("run", [
-        ("iterations", r.iterations), ("interval", r.interval), ("eval_every", r.eval_every),
-        ("target_accuracy", r.target_accuracy), ("trials", r.trials), ("seed", r.seed),
+        ("iterations", r.max_iterations), ("interval", r.interval), ("eval_every", r.eval_every),
+        ("target_accuracy", r.target_accuracy), ("trials", cfg.trials), ("seed", r.seed),
     ])
     out.write("[policies]\n")
     for label, spec in cfg.policies:

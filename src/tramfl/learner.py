@@ -86,9 +86,9 @@ def init_he(arch: ArchSpec, seed: int) -> ModelParams:
     return ModelParams(arch, values)
 
 
-def _forward_batch(params: ModelParams, features: np.ndarray):
-    """Activations per layer plus output logits for a (n, dims) batch."""
-    weights, biases = _views(params.arch, params.values)
+def _forward_batch(weights, biases, features: np.ndarray):
+    """Activations per layer plus output logits for a (n, dims) batch, given
+    the layer views from :func:`_views`."""
     activations = [features]
     hidden = features
     for w, b in zip(weights[:-1], biases[:-1]):
@@ -98,16 +98,16 @@ def _forward_batch(params: ModelParams, features: np.ndarray):
     return activations, logits
 
 
-def _log_softmax_parts(logits: np.ndarray):
-    """Shifted logits and per-row log-sum-exp (max-subtracted for stability)."""
+def _softmax_parts(logits: np.ndarray):
+    """Exponentials of the max-shifted logits, their row sums, and the per-row
+    log-sum-exp (max-subtracted for stability)."""
     zmax = logits.max(axis=1, keepdims=True)
-    shifted = logits - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + zmax
-    return shifted, lse
+    exps = np.exp(logits - zmax)
+    sums = exps.sum(axis=1, keepdims=True)
+    return exps, sums, np.log(sums) + zmax
 
 
-def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    shifted, lse = _log_softmax_parts(logits)
+def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray, lse: np.ndarray) -> float:
     picked = logits[np.arange(len(labels)), labels]
     return float(np.mean(lse.ravel() - picked))
 
@@ -119,10 +119,9 @@ def forward(params: ModelParams, x) -> np.ndarray:
         raise ValueError(
             f"expected feature vector of length {params.arch.layer_sizes[0]}, got shape {x.shape}"
         )
-    _, logits = _forward_batch(params, x[None, :])
-    shifted, _ = _log_softmax_parts(logits)
-    probs = np.exp(shifted)
-    return (probs / probs.sum(axis=1, keepdims=True))[0]
+    _, logits = _forward_batch(*_views(params.arch, params.values), x[None, :])
+    exps, sums, _ = _softmax_parts(logits)
+    return (exps / sums)[0]
 
 
 def loss_and_grad(params: ModelParams, features, labels) -> tuple[float, np.ndarray]:
@@ -135,15 +134,13 @@ def loss_and_grad(params: ModelParams, features, labels) -> tuple[float, np.ndar
         raise ValueError("batch must be nonempty")
     features = np.asarray(features, dtype=np.float64)
 
-    weights, _ = _views(params.arch, params.values)
-    activations, logits = _forward_batch(params, features)
-    shifted, lse = _log_softmax_parts(logits)
-    picked = logits[np.arange(len(labels)), labels]
-    loss = float(np.mean(lse.ravel() - picked))
+    weights, biases = _views(params.arch, params.values)
+    activations, logits = _forward_batch(weights, biases, features)
+    exps, sums, lse = _softmax_parts(logits)
+    loss = _mean_cross_entropy(logits, labels, lse)
 
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    delta = probs
+    delta = exps
+    delta /= sums
     delta[np.arange(len(labels)), labels] -= 1.0
     delta /= len(labels)
 
@@ -175,10 +172,11 @@ def evaluate(params: ModelParams, ds) -> tuple[float, float]:
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _, logits = _forward_batch(params, ds.features)
+    _, logits = _forward_batch(*_views(params.arch, params.values), ds.features)
     predictions = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predictions == ds.labels))
-    return accuracy, _mean_cross_entropy(logits, ds.labels)
+    _, _, lse = _softmax_parts(logits)
+    return accuracy, _mean_cross_entropy(logits, ds.labels, lse)
 
 
 def finite_diff_check(params: ModelParams, features, labels, eps: float) -> float:

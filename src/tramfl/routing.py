@@ -19,10 +19,9 @@ from .errors import StateError
 
 @dataclass
 class RoutingState:
-    """Cumulative label-usage ledger, iteration counter, and model holder."""
+    """Cumulative label-usage ledger and model holder."""
 
     cumulative: LabelHistogram
-    round: int
     holder: int
 
 
@@ -133,7 +132,6 @@ def update_ledger(state: RoutingState, batch_counts: LabelHistogram) -> RoutingS
         )
     return RoutingState(
         cumulative=LabelHistogram(state.cumulative.counts + batch_counts.counts),
-        round=state.round + 1,
         holder=state.holder,
     )
 

@@ -107,15 +107,51 @@ def params_digest(params: ModelParams) -> str:
     return digest.hexdigest()
 
 
-def _resolve_policy(cfg: RunConfig, policy: PolicySpec | None) -> PolicySpec:
-    policy = policy if policy is not None else cfg.policy
-    if policy is None:
-        raise ValueError("no routing policy given (argument or cfg.policy)")
-    return policy
+class _EvalTrace:
+    """The evaluation tail shared by the traveling-model and gossip loops.
+
+    After each send the loop reports its counts; the trace evaluates the
+    model whenever ``transmissions // eval_every`` enters a new bucket (for
+    a traveling model, which sends one at a time, that is every
+    ``eval_every``-th transmission) and reports whether the target accuracy
+    was reached. :meth:`result` adds the terminal evaluation and builds the
+    :class:`TrialResult`.
+    """
+
+    def __init__(self, test_set, cfg: RunConfig):
+        self.test_set = test_set
+        self.cfg = cfg
+        self.records: list[EvalRecord] = []
+        self.reached: int | None = None
+        self.bucket = 0
+
+    def after_send(self, iteration: int, transmissions: int, holder: int, params) -> bool:
+        """Evaluate on a bucket change; True once the target is reached."""
+        bucket = transmissions // self.cfg.eval_every
+        if bucket <= self.bucket:
+            return False
+        self.bucket = bucket
+        return self._evaluate(iteration, transmissions, holder, params)
+
+    def _evaluate(self, iteration, transmissions, holder, params) -> bool:
+        accuracy, loss = evaluate(params, self.test_set)
+        self.records.append(EvalRecord(iteration, transmissions, holder, accuracy, loss))
+        target = self.cfg.target_accuracy
+        if target is not None and accuracy >= target:
+            self.reached = transmissions
+        return self.reached is not None
+
+    def result(self, transmissions: int, holder: int, params, ledger=None) -> TrialResult:
+        """Evaluate at termination unless the target stopped the run or the
+        last send was already evaluated, then package the trial."""
+        evaluated = self.records and self.records[-1].transmissions == transmissions
+        if self.reached is None and not evaluated:
+            self._evaluate(self.cfg.max_iterations, transmissions, holder, params)
+        return TrialResult(self.records, self.reached, params_digest(params), params, ledger=ledger)
 
 
-def run_tram_fl(shards, test_set, cfg: RunConfig, policy: PolicySpec | None = None) -> TrialResult:
-    """Train one traveling model over the shards under a routing policy.
+def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
+    """Train one traveling model over the shards under ``cfg.policy``.
 
     Deterministic in cfg.seed: the seed fixes the He initialization, the
     initial holder (uniform over nonempty shards), every minibatch draw, and
@@ -123,7 +159,9 @@ def run_tram_fl(shards, test_set, cfg: RunConfig, policy: PolicySpec | None = No
     transmission and at termination; stops early once `target_accuracy` is
     reached at an evaluation point.
     """
-    policy = _resolve_policy(cfg, policy)
+    policy = cfg.policy
+    if policy is None:
+        raise ValueError("cfg.policy is not set")
     if policy.kind == "gossip":
         raise ValueError("gossip runs through run_gossip, not run_tram_fl")
     shards = sorted(shards, key=lambda s: s.node_id)
@@ -140,15 +178,14 @@ def run_tram_fl(shards, test_set, cfg: RunConfig, policy: PolicySpec | None = No
     params = init_he(cfg.arch, cfg.seed)
     holder = int(nonempty[rng.integers(len(nonempty))])
     num_classes = shards[0].hist.counts.shape[0]
-    state = RoutingState(LabelHistogram(np.zeros(num_classes)), round=0, holder=holder)
+    state = RoutingState(LabelHistogram(np.zeros(num_classes)), holder=holder)
     route = None
     if policy.kind == "static":
         route = StaticRoute(policy.route, position=policy.route.index(holder))
     routing_cfg = RoutingConfig(batch_size=cfg.batch_size, interval=cfg.interval)
 
-    records: list[EvalRecord] = []
+    trace = _EvalTrace(test_set, cfg)
     transmissions = 0
-    reached: int | None = None
     for iteration in range(1, cfg.max_iterations + 1):
         shard = shards[holder]
         idx, counts = draw_minibatch(shard, cfg.batch_size, rng)
@@ -164,18 +201,9 @@ def run_tram_fl(shards, test_set, cfg: RunConfig, policy: PolicySpec | None = No
                 holder = next_random(num_nodes, holder, rng)
             state.holder = holder
             transmissions += 1
-            if transmissions % cfg.eval_every == 0:
-                accuracy, loss = evaluate(params, test_set)
-                records.append(EvalRecord(iteration, transmissions, holder, accuracy, loss))
-                if cfg.target_accuracy is not None and accuracy >= cfg.target_accuracy:
-                    reached = transmissions
-                    break
-    if reached is None and (not records or records[-1].transmissions < transmissions):
-        accuracy, loss = evaluate(params, test_set)
-        records.append(EvalRecord(cfg.max_iterations, transmissions, holder, accuracy, loss))
-        if cfg.target_accuracy is not None and accuracy >= cfg.target_accuracy:
-            reached = transmissions
-    return TrialResult(records, reached, params_digest(params), params, ledger=state.cumulative)
+            if trace.after_send(iteration, transmissions, holder, params):
+                break
+    return trace.result(transmissions, holder, params, ledger=state.cumulative)
 
 
 def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
@@ -201,10 +229,8 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     if cfg.count_exchanges_once:
         per_round //= 2
 
-    records: list[EvalRecord] = []
+    trace = _EvalTrace(test_set, cfg)
     transmissions = 0
-    reached: int | None = None
-    eval_bucket = 0
     averaged = shared
     for round_num in range(1, cfg.max_iterations + 1):
         for i, shard in enumerate(shards):
@@ -214,27 +240,9 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
         averaged = average_params(models, [1.0] * num_nodes)
         models = [averaged] * num_nodes
         transmissions += per_round
-        if transmissions // cfg.eval_every > eval_bucket:
-            eval_bucket = transmissions // cfg.eval_every
-            accuracy, loss = evaluate(averaged, test_set)
-            records.append(EvalRecord(round_num, transmissions, -1, accuracy, loss))
-            if cfg.target_accuracy is not None and accuracy >= cfg.target_accuracy:
-                reached = transmissions
-                break
-    if reached is None and (not records or records[-1].transmissions < transmissions):
-        accuracy, loss = evaluate(averaged, test_set)
-        records.append(EvalRecord(cfg.max_iterations, transmissions, -1, accuracy, loss))
-        if cfg.target_accuracy is not None and accuracy >= cfg.target_accuracy:
-            reached = transmissions
-    return TrialResult(records, reached, params_digest(averaged), averaged, ledger=None)
-
-
-def transmissions_to_accuracy(result: TrialResult, threshold: float) -> int | None:
-    """Smallest recorded transmission count whose accuracy meets the threshold."""
-    for record in result.records:
-        if record.test_accuracy >= threshold:
-            return record.transmissions
-    return None
+        if trace.after_send(round_num, transmissions, -1, averaged):
+            break
+    return trace.result(transmissions, -1, averaged)
 
 
 @dataclass
@@ -249,9 +257,8 @@ class TrialsSummary:
     n_reached: int
 
 
-def run_trials(shards, test_set, cfg: RunConfig, policy: PolicySpec | None = None,
-               num_trials: int = 1) -> TrialsSummary:
-    """Repeat a run with seeds cfg.seed, cfg.seed+1, ... and summarize.
+def run_trials(shards, test_set, cfg: RunConfig, num_trials: int = 1) -> TrialsSummary:
+    """Repeat a ``cfg.policy`` run with seeds cfg.seed, cfg.seed+1, ... and summarize.
 
     Mean and sample standard deviation cover only the trials that reached the
     target; a single reaching trial reports std 0.0 by convention. Trials
@@ -260,13 +267,14 @@ def run_trials(shards, test_set, cfg: RunConfig, policy: PolicySpec | None = Non
     """
     if num_trials < 1:
         raise ValueError(f"num_trials must be >= 1, got {num_trials}")
-    policy = _resolve_policy(cfg, policy)
+    if cfg.policy is None:
+        raise ValueError("cfg.policy is not set")
     if cfg.target_accuracy is None:
         raise ValueError("run_trials needs cfg.target_accuracy")
     results = []
     for trial in range(num_trials):
-        trial_cfg = replace(cfg, seed=cfg.seed + trial, policy=policy)
-        if policy.kind == "gossip":
+        trial_cfg = replace(cfg, seed=cfg.seed + trial)
+        if cfg.policy.kind == "gossip":
             results.append(run_gossip(shards, test_set, trial_cfg))
         else:
             results.append(run_tram_fl(shards, test_set, trial_cfg))

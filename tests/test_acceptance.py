@@ -8,6 +8,7 @@ transmission count at which they first reach it.
 
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_criterion_1_routing_rule_oracle_equivalence():
         batch_size = int(rng.integers(1, 65))
         interval = int(rng.integers(1, 9))
         shards = [_fake_shard(i, counts) for i, counts in rows]
-        state = RoutingState(LabelHistogram(ledger), round=0, holder=0)
+        state = RoutingState(LabelHistogram(ledger), holder=0)
         got = select_next_dynamic(state, shards, RoutingConfig(batch_size, interval))
         expected = _naive_next_node(ledger.tolist(), rows, batch_size, interval)
         assert got == expected
@@ -112,7 +113,7 @@ def test_criterion_2_uniform_ledger_realization():
 
     def run_walk(start, steps=20):
         rng = np.random.default_rng(0)
-        state = RoutingState(LabelHistogram(np.zeros(2)), round=0, holder=start)
+        state = RoutingState(LabelHistogram(np.zeros(2)), holder=start)
         holder = start
         selections = []
         for step in range(1, steps + 1):
@@ -197,10 +198,10 @@ def test_criterion_5_directional_transmissions_to_target(task, target_accuracy):
             max_iterations=4000, eval_every=1, target_accuracy=target_accuracy,
             seed=5000 + 97 * pseed,
         )
-        dynamic = run_trials(shards, test, base, policy=PolicySpec("dynamic"), num_trials=5)
-        uniform = run_trials(shards, test, base, policy=PolicySpec("random"), num_trials=5)
+        dynamic = run_trials(shards, test, replace(base, policy=PolicySpec("dynamic")), num_trials=5)
+        uniform = run_trials(shards, test, replace(base, policy=PolicySpec("random")), num_trials=5)
         per_route = [
-            run_trials(shards, test, base, policy=PolicySpec("static", order), num_trials=5).mean
+            run_trials(shards, test, replace(base, policy=PolicySpec("static", order)), num_trials=5).mean
             for order in routes
         ]
         assert dynamic.n_reached == 5 and uniform.n_reached == 5

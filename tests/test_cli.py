@@ -194,6 +194,22 @@ def test_csv_dataset_end_to_end(tmp_path):
     assert summary["dynamic"]["n_reached"] == 1
 
 
+def test_csv_test_labels_missing_from_train_is_config_error(tmp_path, capsys):
+    (tmp_path / "train.csv").write_text("0,0.0,1.0\n1,1.0,0.0\n0,0.5,1.0\n1,1.0,0.5\n")
+    (tmp_path / "test.csv").write_text("0,0.0,1.0\n2,1.0,1.0\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        "[partition]\nscheme = contiguous\nnodes = 2\n\n"
+        "[learner]\nlayers = 2,4,3\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        "[policies]\ndynamic = dynamic\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "dataset.test" in err and "[2]" in err
+
+
 def test_enumerate_static_routes_table():
     routes = enumerate_static_routes(5)
     assert len(routes) == 24

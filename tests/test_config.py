@@ -48,7 +48,7 @@ gossip = gossip
 def test_minimal_config_fills_defaults():
     cfg = parse_config(DATA / "valid_minimal.cfg")
     assert cfg.run.eval_every == 1
-    assert cfg.run.trials == 1
+    assert cfg.trials == 1
     assert cfg.run.interval == 1
     assert cfg.run.seed == 0
     assert cfg.run.target_accuracy is None
@@ -67,7 +67,7 @@ def test_every_repo_config_parses():
 def test_full_config_parses():
     cfg = parse_config_text(FULL_TEXT)
     assert cfg.partition.scheme == "random_k"
-    assert cfg.learner.layers == (4, 16, 4)
+    assert cfg.run.arch.layer_sizes == (4, 16, 4)
     assert dict(cfg.policies)["ring"] == PolicySpec("static", (0, 1, 2))
 
 

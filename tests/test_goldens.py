@@ -63,7 +63,7 @@ def _base_cfg():
 def test_tram_fl_trial_digest(task, policy):
     train, test = task
     shards = split_random_k_labels(train, 5, 2, 5, np.random.default_rng(1))
-    result = run_tram_fl(shards, test, _base_cfg(), policy=policy)
+    result = run_tram_fl(shards, test, replace(_base_cfg(), policy=policy))
     assert (result.final_params_digest, result.transmissions_to_target) == TRAM_GOLDENS[policy.name()]
 
 

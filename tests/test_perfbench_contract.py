@@ -1,0 +1,63 @@
+"""The names the benchmark in ``perfbench/`` wraps or constructs.
+
+``perfbench/run.py`` replaces module attributes of ``tramfl`` with timing
+wrappers and builds ``RunConfig``/``PartitionPlan`` objects directly, so a
+refactor that renames or reshapes one of them breaks the benchmark. These
+checks catch that here. They read ``run.py`` with ``ast`` instead of
+importing it, because importing it sets thread variables and loads the
+benchmark's own modules.
+"""
+
+import ast
+import importlib
+from dataclasses import fields, replace
+from pathlib import Path
+
+from tramfl import (
+    ArchSpec,
+    PartitionPlan,
+    PolicySpec,
+    RoutingState,
+    RunConfig,
+    generate_synthetic_split,
+    run_tram_fl,
+)
+from tramfl.cli import make_shards, parse_config, run_experiment
+
+ROOT = Path(__file__).parents[1]
+
+
+def _wrapped():
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no WRAPPED list")
+
+
+def test_every_wrapped_name_exists():
+    wrapped = _wrapped()
+    assert wrapped
+    for module, name, _layer in wrapped:
+        assert callable(getattr(importlib.import_module(f"tramfl.{module}"), name, None)), (
+            f"tramfl.{module}.{name} is gone"
+        )
+
+
+def test_runtime_types_build_as_the_benchmark_builds_them(tmp_path):
+    cfg = RunConfig(arch=ArchSpec((8, 32, 10)), learning_rate=0.05, batch_size=16,
+                    interval=1, max_iterations=400, eval_every=50,
+                    policy=PolicySpec("dynamic"))
+    assert cfg.policy.name() == "dynamic"
+    train, test = generate_synthetic_split(10, 8, 20, 5, 4.0, 1)
+    shards = make_shards(train, PartitionPlan("random_k", 4, k_min=1, k_max=3, seed=1))
+    assert sum(s.total for s in shards) >= len(train)
+    # the trial hook reads these off each result, the router hook off its state
+    result = run_tram_fl(shards, test, replace(cfg, max_iterations=5))
+    assert result.records[-1].iteration == 5 and result.ledger.counts.shape == (10,)
+    assert {"cumulative", "holder"} <= {f.name for f in fields(RoutingState)}
+
+    parsed = replace(parse_config(ROOT / "configs" / "quickstart.cfg"), policies=())
+    assert run_experiment(parsed, tmp_path / "out") == 0

@@ -101,7 +101,7 @@ def test_expected_usage_empty_shard_error():
 
 
 def _state(ledger, holder=0):
-    return RoutingState(LabelHistogram(ledger), round=0, holder=holder)
+    return RoutingState(LabelHistogram(ledger), holder=holder)
 
 
 def test_select_prefers_underrepresented_labels():
@@ -313,7 +313,6 @@ def test_update_ledger_from_zero():
     state = _state([0.0, 0.0])
     updated = update_ledger(state, LabelHistogram([3, 1]))
     assert updated.cumulative.counts.tolist() == [3.0, 1.0]
-    assert updated.round == 1
     assert state.cumulative.counts.tolist() == [0.0, 0.0]  # input untouched
 
 

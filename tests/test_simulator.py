@@ -17,9 +17,7 @@ from tramfl import (
     run_trials,
     sgd_step,
     split_contiguous_labels,
-    transmissions_to_accuracy,
 )
-from tramfl.simulator import EvalRecord, TrialResult
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +125,10 @@ def test_terminal_evaluation_when_cadence_misses_end(small_task):
     # 7 transmissions, eval every 5: records at 5 then terminal at 7
     result = run_tram_fl(shards, test, _cfg(max_iterations=7, interval=1, eval_every=5))
     assert [r.transmissions for r in result.records] == [5, 7]
+    # 10 transmissions, eval every 3: records at 3, 6, 9 then terminal at 10
+    result = run_tram_fl(shards, test, _cfg(max_iterations=10, interval=1, eval_every=3))
+    assert [r.transmissions for r in result.records] == [3, 6, 9, 10]
+    assert [r.iteration for r in result.records] == [3, 6, 9, 10]
 
 
 def test_early_stop_records_target(small_task):
@@ -231,17 +233,28 @@ def test_gossip_is_deterministic(small_task):
     assert run_gossip(shards, test, cfg).final_params_digest == run_gossip(shards, test, cfg).final_params_digest
 
 
-def _result(points):
-    records = [EvalRecord(i + 1, t, 0, acc, 1.0) for i, (t, acc) in enumerate(points)]
-    params = init_he(ArchSpec((2, 2)), 0)
-    return TrialResult(records, None, "x", params)
+def test_gossip_evaluates_on_bucket_changes_only(small_task):
+    train, test = small_task
+    shards = split_contiguous_labels(train, 3)
+    # 6 transmissions per round, eval every 10: sent 6, 12, 18, 24, 30, 36 enter
+    # buckets 0, 1, 1, 2, 3, 3; round 6 stays in bucket 3, so it is the terminal record
+    result = run_gossip(shards, test, _cfg(policy=PolicySpec("gossip"), max_iterations=6,
+                                           eval_every=10))
+    assert [r.transmissions for r in result.records] == [12, 24, 30, 36]
+    assert [r.iteration for r in result.records] == [2, 4, 5, 6]
 
 
-def test_transmissions_to_accuracy_scan():
-    result = _result([(10, 0.5), (20, 0.8)])
-    assert transmissions_to_accuracy(result, 0.78) == 20
-    assert transmissions_to_accuracy(result, 0.9) is None
-    assert transmissions_to_accuracy(result, 0.0) == 10
+@pytest.mark.parametrize("policy", [PolicySpec("dynamic"), PolicySpec("gossip")],
+                         ids=lambda p: p.kind)
+def test_transmissions_to_target_is_first_and_last_hit(small_task, policy):
+    train, test = small_task
+    shards = split_contiguous_labels(train, 2)
+    cfg = _cfg(policy=policy, max_iterations=500, target_accuracy=0.5)
+    run = run_gossip if policy.kind == "gossip" else run_tram_fl
+    result = run(shards, test, cfg)
+    hits = [r for r in result.records if r.test_accuracy >= 0.5]
+    assert hits and hits[0] is result.records[-1]
+    assert result.transmissions_to_target == hits[0].transmissions
 
 
 def test_run_trials_single_trial_convention(small_task):
