@@ -38,9 +38,7 @@ from .partition import (
     split_random_k_labels,
 )
 from .routing import (
-    RoutingConfig,
     RoutingState,
-    StaticRoute,
     dispersion,
     enumerate_static_routes,
     expected_usage,

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, _check_partition_fits, parse_config
 from .datasets import LabeledDataset, generate_synthetic_split, load_csv
 from .errors import ParseError, StateError
 from .learner import ModelParams
@@ -28,14 +28,14 @@ from .simulator import TrialsSummary, run_trials
 CSV_COLUMNS = "trial,iteration,transmissions,holder,test_loss,test_accuracy"
 
 
-def _build_datasets(cfg: ExperimentConfig, csv_header: bool) -> tuple[LabeledDataset, LabeledDataset]:
+def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     d = cfg.dataset
     if d.kind == "synthetic":
         return generate_synthetic_split(
             d.classes, d.dims, d.per_class, d.test_per_class, d.separation, d.seed
         )
-    train = load_csv(d.train, has_header=d.header or csv_header)
-    test = load_csv(d.test, has_header=d.header or csv_header)
+    train = load_csv(d.train, has_header=d.header)
+    test = load_csv(d.test, has_header=d.header)
     layers = cfg.run.arch.layer_sizes
     if train.dims != layers[0] or test.dims != layers[0]:
         raise ConfigError(
@@ -51,6 +51,7 @@ def _build_datasets(cfg: ExperimentConfig, csv_header: bool) -> tuple[LabeledDat
         raise ConfigError(
             f"dataset.test: labels {unseen.tolist()} do not occur in the training set {d.train}"
         )
+    _check_partition_fits(cfg.partition, np.bincount(train.labels, minlength=train.num_classes).tolist())
     return train, test
 
 
@@ -86,14 +87,13 @@ def _print_table(rows) -> None:
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir,
-    csv_header: bool = False,
     dump_model: str | None = None,
     count_exchanges_once: bool = False,
 ) -> int:
     """Run every configured policy and write CSVs, summary.json, and the table."""
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
-    train, test = _build_datasets(cfg, csv_header)
+    train, test = _build_datasets(cfg)
     shards = make_shards(train, cfg.partition)
     base = replace(cfg.run, count_exchanges_once=count_exchanges_once)
     os.makedirs(out_dir, exist_ok=True)
@@ -133,8 +133,6 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="run an experiment config")
     run_parser.add_argument("config", help="path to the experiment config file")
     run_parser.add_argument("--out", required=True, help="output directory")
-    run_parser.add_argument("--csv-header", action="store_true",
-                            help="treat the first line of CSV datasets as a header")
     run_parser.add_argument("--dump-model", metavar="PATH",
                             help="write the last trial's final model to PATH")
     run_parser.add_argument("--count-exchanges-once", action="store_true",
@@ -144,11 +142,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         return run_experiment(
-            cfg,
-            args.out,
-            csv_header=args.csv_header,
-            dump_model=args.dump_model,
-            count_exchanges_once=args.count_exchanges_once,
+            cfg, args.out, dump_model=args.dump_model, count_exchanges_once=args.count_exchanges_once
         )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

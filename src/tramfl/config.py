@@ -215,7 +215,6 @@ def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
     nodes = parsed["nodes"]
     if nodes < 2:
         raise ConfigError(f"partition.nodes: must be >= 2, got {nodes}")
-    classes = dataset.classes  # None for csv datasets until load time
     allowed = {"scheme", "nodes", "seed"}
     if scheme == "random_k":
         allowed |= {"k_min", "k_max"}
@@ -223,13 +222,6 @@ def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
         k_max = _require("partition", parsed, "k_max")
         if k_min < 1 or k_min > k_max:
             raise ConfigError(f"partition.k_min: need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
-        if classes is not None:
-            if k_max > classes:
-                raise ConfigError(f"partition.k_max: exceeds {classes} classes")
-            if nodes * k_max < classes:
-                raise ConfigError(
-                    f"partition.k_max: coverage unattainable, {nodes} x {k_max} < {classes}"
-                )
     elif scheme == "exponential":
         allowed |= {"rate"}
         rate = _require("partition", parsed, "rate")
@@ -243,15 +235,10 @@ def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
         for row in counts:
             if len(row) != 2 or any(n < 0 for n in row):
                 raise ConfigError(f"partition.counts: each row must be two nonnegative ints, got {row}")
-    else:  # contiguous
-        if classes is not None and nodes > classes:
-            raise ConfigError(f"partition.nodes: {nodes} exceeds {classes} labels")
-    if scheme in ("exponential", "table") and classes is not None and classes != 2:
-        raise ConfigError(f"partition.scheme: {scheme} needs a 2-class dataset, got {classes}")
     for key in parsed:
         if key not in allowed:
             raise ConfigError(f"partition.{key}: not valid for scheme={scheme}")
-    return PartitionPlan(
+    plan = PartitionPlan(
         scheme=scheme,
         nodes=nodes,
         k_min=parsed.get("k_min"),
@@ -260,6 +247,35 @@ def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
         counts=parsed.get("counts"),
         seed=parsed.get("seed", 0),
     )
+    if dataset.kind == "synthetic":
+        _check_partition_fits(plan, [dataset.per_class] * dataset.classes)
+    return plan
+
+
+def _check_partition_fits(plan: PartitionPlan, class_totals) -> None:
+    """The [partition] checks that need the training set: ``class_totals[c]``
+    is its number of rows of class c. Synthetic data is checked at parse
+    time, CSV data once it is loaded."""
+    classes = len(class_totals)
+    if plan.scheme == "contiguous" and plan.nodes > classes:
+        raise ConfigError(f"partition.nodes: {plan.nodes} exceeds {classes} labels")
+    if plan.scheme == "random_k":
+        if plan.k_max > classes:
+            raise ConfigError(f"partition.k_max: exceeds {classes} classes")
+        if plan.nodes * plan.k_max < classes:
+            raise ConfigError(
+                f"partition.k_max: coverage unattainable, {plan.nodes} x {plan.k_max} < {classes}"
+            )
+    if plan.scheme in ("exponential", "table") and classes != 2:
+        raise ConfigError(f"partition.scheme: {plan.scheme} needs a 2-class dataset, got {classes}")
+    if plan.scheme == "table":
+        for c, held in enumerate(class_totals):
+            asked = sum(row[c] for row in plan.counts)
+            if asked > held:
+                raise ConfigError(
+                    f"partition.counts: the nodes ask for {asked} samples of class {c}, "
+                    f"the training set holds {held}"
+                )
 
 
 def _check_learner(parsed, dataset: DatasetSection) -> None:

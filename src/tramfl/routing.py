@@ -25,38 +25,15 @@ class RoutingState:
     holder: int
 
 
-@dataclass
-class StaticRoute:
-    """Fixed cyclic visiting order with a cursor at the current holder."""
-
-    order: tuple[int, ...]
-    position: int = 0
-
-    def __post_init__(self):
-        self.order = tuple(int(i) for i in self.order)
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError(f"route {self.order} is not a permutation of 0..{len(self.order) - 1}")
-
-
-@dataclass(frozen=True)
-class RoutingConfig:
-    """Per-visit training volume: batch size and batches per visit."""
-
-    batch_size: int
-    interval: int
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.interval < 1:
-            raise ValueError(
-                f"batch_size and interval must be >= 1, got {self.batch_size}, {self.interval}"
-            )
-
-
 def dispersion(hist: LabelHistogram) -> float:
     """Population variance of the histogram entries.
 
-    Zero exactly when all entries are equal. Summation is sequential in index
-    order so equal-variance ties resolve reproducibly across platforms.
+    Zero exactly when all entries are equal. It sums with the builtin ``sum``
+    and squares with float ``**``, the same operations as the tests'
+    sequential oracles, so on one interpreter it ties exactly where they do.
+    That does not carry across platforms: ``**`` goes through the C
+    library's ``pow``, and from Python 3.12 on ``sum`` of floats is
+    compensated. The goldens were pinned on CPython 3.11.
     """
     counts = [float(c) for c in hist.counts]
     if not counts:
@@ -65,20 +42,28 @@ def dispersion(hist: LabelHistogram) -> float:
     return sum((c - mean) ** 2 for c in counts) / len(counts)
 
 
-def expected_usage(shard, cfg: RoutingConfig) -> LabelHistogram:
+def _check_volume(volume: int) -> None:
+    if volume < 1:
+        raise ValueError(f"volume (batch_size * interval) must be >= 1, got {volume}")
+
+
+def expected_usage(shard, volume: int) -> LabelHistogram:
     """Expected per-label counts a full visit at this shard would consume.
 
-    Scales the shard's label histogram by (batch_size * interval) / total,
-    i.e. the expected composition of `interval` uniform batches.
+    ``volume`` is the samples one visit trains on, batch_size * interval.
+    Scales the shard's label histogram by volume / total, i.e. the expected
+    composition of `interval` uniform batches.
     """
+    _check_volume(volume)
     if shard.total <= 0:
         raise ValueError(f"shard {shard.node_id} is empty")
-    factor = (cfg.batch_size * cfg.interval) / shard.total
+    factor = volume / shard.total
     return LabelHistogram(shard.hist.counts * factor)
 
 
-def select_next_dynamic(state: RoutingState, shards, cfg: RoutingConfig) -> int:
-    """Pick the node whose expected usage leaves the ledger most uniform.
+def select_next_dynamic(state: RoutingState, shards, volume: int) -> int:
+    """Pick the node whose expected usage of ``volume`` samples leaves the
+    ledger most uniform.
 
     Every nonempty shard is a candidate, including the current holder; ties
     break to the lowest node index. Raises StateError if all shards are empty.
@@ -91,10 +76,10 @@ def select_next_dynamic(state: RoutingState, shards, cfg: RoutingConfig) -> int:
     with the entries, not with the best score, which can be exactly 0. The
     exact ``dispersion`` then decides among the shortlist.
     """
+    _check_volume(volume)
     nodes = [s for s in sorted(shards, key=lambda s: s.node_id) if s.total > 0]
     if not nodes:
         raise StateError("no nonempty shard to route to")
-    volume = cfg.batch_size * cfg.interval
     totals = np.array([s.total for s in nodes], dtype=np.float64)
     usage = np.array([s.hist.counts for s in nodes]) * (volume / totals)[:, None]
     candidates = state.cumulative.counts + usage
@@ -107,10 +92,10 @@ def select_next_dynamic(state: RoutingState, shards, cfg: RoutingConfig) -> int:
     return nodes[shortlist[exact.index(min(exact))]].node_id
 
 
-def next_static(route: StaticRoute) -> int:
-    """Advance the cursor and return the next node in the cycle."""
-    route.position = (route.position + 1) % len(route.order)
-    return route.order[route.position]
+def next_static(route: tuple[int, ...], holder: int) -> int:
+    """The holder's successor on the cyclic route; ValueError if the holder
+    is not on it."""
+    return route[(route.index(holder) + 1) % len(route)]
 
 
 def next_random(num_nodes: int, holder: int, rng: np.random.Generator) -> int:

@@ -19,15 +19,7 @@ import numpy as np
 from .datasets import LabelHistogram, draw_minibatch
 from .errors import StateError
 from .learner import ArchSpec, ModelParams, average_params, evaluate, init_he, loss_and_grad, sgd_step
-from .routing import (
-    RoutingConfig,
-    RoutingState,
-    StaticRoute,
-    next_random,
-    next_static,
-    select_next_dynamic,
-    update_ledger,
-)
+from .routing import RoutingState, next_random, next_static, select_next_dynamic, update_ledger
 
 POLICY_KINDS = ("dynamic", "static", "random", "gossip")
 
@@ -179,10 +171,7 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     holder = int(nonempty[rng.integers(len(nonempty))])
     num_classes = shards[0].hist.counts.shape[0]
     state = RoutingState(LabelHistogram(np.zeros(num_classes)), holder=holder)
-    route = None
-    if policy.kind == "static":
-        route = StaticRoute(policy.route, position=policy.route.index(holder))
-    routing_cfg = RoutingConfig(batch_size=cfg.batch_size, interval=cfg.interval)
+    volume = cfg.batch_size * cfg.interval
 
     trace = _EvalTrace(test_set, cfg)
     transmissions = 0
@@ -194,9 +183,9 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
         state = update_ledger(state, counts)
         if iteration % cfg.interval == 0:
             if policy.kind == "dynamic":
-                holder = select_next_dynamic(state, shards, routing_cfg)
+                holder = select_next_dynamic(state, shards, volume)
             elif policy.kind == "static":
-                holder = next_static(route)
+                holder = next_static(policy.route, holder)
             else:
                 holder = next_random(num_nodes, holder, rng)
             state.holder = holder

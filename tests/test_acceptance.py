@@ -17,7 +17,6 @@ from tramfl import (
     ArchSpec,
     LabelHistogram,
     PolicySpec,
-    RoutingConfig,
     RoutingState,
     RunConfig,
     draw_minibatch,
@@ -97,7 +96,7 @@ def test_criterion_1_routing_rule_oracle_equivalence():
         interval = int(rng.integers(1, 9))
         shards = [_fake_shard(i, counts) for i, counts in rows]
         state = RoutingState(LabelHistogram(ledger), holder=0)
-        got = select_next_dynamic(state, shards, RoutingConfig(batch_size, interval))
+        got = select_next_dynamic(state, shards, batch_size * interval)
         expected = _naive_next_node(ledger.tolist(), rows, batch_size, interval)
         assert got == expected
     assert time.perf_counter() - started < 5.0
@@ -109,7 +108,7 @@ def test_criterion_2_uniform_ledger_realization():
         DatasetShard(0, np.zeros((8, 2)), np.full(8, 0), LabelHistogram([8, 0]), 8),
         DatasetShard(1, np.zeros((8, 2)), np.full(8, 1), LabelHistogram([0, 8]), 8),
     ]
-    cfg = RoutingConfig(batch_size=1, interval=1)
+    cfg = 1
 
     def run_walk(start, steps=20):
         rng = np.random.default_rng(0)

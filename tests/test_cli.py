@@ -182,14 +182,15 @@ def test_csv_dataset_end_to_end(tmp_path):
     save_csv(test, tmp_path / "test.csv", header=True)
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
-        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n"
+        "header = true\n\n"
         "[partition]\nscheme = contiguous\nnodes = 3\n\n"
         "[learner]\nlayers = 4,8,3\neta = 0.1\nbatch = 8\n\n"
         "[run]\niterations = 200\ntarget_accuracy = 0.8\ntrials = 1\nseed = 7\n\n"
         "[policies]\ndynamic = dynamic\n"
     )
     out = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--out", str(out), "--csv-header"]) == 0
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["dynamic"]["n_reached"] == 1
 
@@ -208,6 +209,42 @@ def test_csv_test_labels_missing_from_train_is_config_error(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "dataset.test" in err and "[2]" in err
+
+
+_TWO_CLASS_TRAIN = "0,0.0,1.0\n1,1.0,0.0\n0,0.5,1.0\n1,1.0,0.5\n"
+
+
+@pytest.mark.parametrize("partition, key", [
+    ("scheme = contiguous\nnodes = 3", "partition.nodes"),
+    ("scheme = random_k\nnodes = 2\nk_min = 1\nk_max = 3", "partition.k_max"),
+], ids=["contiguous", "random_k"])
+def test_csv_partition_checked_against_loaded_classes(tmp_path, capsys, partition, key):
+    (tmp_path / "train.csv").write_text(_TWO_CLASS_TRAIN)
+    (tmp_path / "test.csv").write_text(_TWO_CLASS_TRAIN)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        f"[partition]\n{partition}\n\n"
+        "[learner]\nlayers = 2,4,2\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        "[policies]\ndynamic = dynamic\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_table_counts_beyond_training_set_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        "[dataset]\nkind = synthetic\nclasses = 2\ndims = 2\nper_class = 10\nseparation = 3.0\n\n"
+        "[partition]\nscheme = table\nnodes = 2\ncounts = 20,0; 0,5\n\n"
+        "[learner]\nlayers = 2,4,2\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        "[policies]\ndynamic = dynamic\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "partition.counts" in err and "class 0" in err
 
 
 def test_enumerate_static_routes_table():

@@ -13,12 +13,14 @@ import importlib
 from dataclasses import fields, replace
 from pathlib import Path
 
+import tramfl.simulator
 from tramfl import (
     ArchSpec,
     PartitionPlan,
     PolicySpec,
     RoutingState,
     RunConfig,
+    expected_usage,
     generate_synthetic_split,
     run_tram_fl,
 )
@@ -61,3 +63,40 @@ def test_runtime_types_build_as_the_benchmark_builds_them(tmp_path):
 
     parsed = replace(parse_config(ROOT / "configs" / "quickstart.cfg"), policies=())
     assert run_experiment(parsed, tmp_path / "out") == 0
+
+
+def _recording(monkeypatch, name):
+    """Wrap ``tramfl.simulator.<name>`` as the benchmark's hooks do and
+    return the list of argument tuples it was called with."""
+    calls = []
+    inner = getattr(tramfl.simulator, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(tramfl.simulator, name, wrapper)
+    return calls
+
+
+def test_router_arguments_as_the_benchmark_reads_them(monkeypatch):
+    """``route_stats`` in ``perfbench/run.py`` passes the router's third
+    argument to ``expected_usage`` and reads the state's ledger and holder."""
+    cfg = RunConfig(arch=ArchSpec((8, 16, 10)), learning_rate=0.05, batch_size=4,
+                    interval=2, max_iterations=12, eval_every=6,
+                    policy=PolicySpec("dynamic"))
+    train, test = generate_synthetic_split(10, 8, 20, 5, 4.0, 1)
+    shards = make_shards(train, PartitionPlan("random_k", 4, k_min=1, k_max=3, seed=1))
+    hops = _recording(monkeypatch, "select_next_dynamic")
+    run_tram_fl(shards, test, cfg)
+    assert len(hops) == 6
+    for state, hop_shards, third in hops:
+        assert state.cumulative.counts.shape == (10,)
+        assert isinstance(state.holder, int)
+        for shard in hop_shards:
+            if shard.total > 0:
+                assert expected_usage(shard, third).counts.shape == (10,)
+
+    statics = _recording(monkeypatch, "next_static")
+    run_tram_fl(shards, test, replace(cfg, policy=PolicySpec("static", (0, 1, 2, 3))))
+    assert len(statics) == 6

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from tramfl import (
     LabelHistogram,
-    RoutingConfig,
     RoutingState,
     StateError,
-    StaticRoute,
     dispersion,
     expected_usage,
     next_random,
@@ -77,10 +75,9 @@ def test_dispersion_zero_iff_uniform():
 
 
 def test_expected_usage_direct():
-    cfg = RoutingConfig(batch_size=2, interval=3)
-    usage = expected_usage(fake_shard(0, [10, 0]), cfg)
+    usage = expected_usage(fake_shard(0, [10, 0]), 2 * 3)
     assert usage.counts.tolist() == [6.0, 0.0]
-    usage = expected_usage(fake_shard(0, [5, 5]), RoutingConfig(1, 1))
+    usage = expected_usage(fake_shard(0, [5, 5]), 1)
     assert usage.counts.tolist() == [0.5, 0.5]
 
 
@@ -90,14 +87,14 @@ def test_expected_usage_sums_to_batch_volume():
         counts = rng.integers(0, 40, size=rng.integers(1, 8))
         if counts.sum() == 0:
             continue
-        cfg = RoutingConfig(int(rng.integers(1, 50)), int(rng.integers(1, 8)))
-        usage = expected_usage(fake_shard(0, counts), cfg)
-        assert usage.total() == pytest.approx(cfg.batch_size * cfg.interval, rel=1e-12)
+        volume = int(rng.integers(1, 50)) * int(rng.integers(1, 8))
+        usage = expected_usage(fake_shard(0, counts), volume)
+        assert usage.total() == pytest.approx(volume, rel=1e-12)
 
 
 def test_expected_usage_empty_shard_error():
     with pytest.raises(ValueError):
-        expected_usage(fake_shard(0, [0, 0]), RoutingConfig(1, 1))
+        expected_usage(fake_shard(0, [0, 0]), 1)
 
 
 def _state(ledger, holder=0):
@@ -107,41 +104,39 @@ def _state(ledger, holder=0):
 def test_select_prefers_underrepresented_labels():
     # ledger [10, 0]; balanced node adds [1,1] -> var 25, skewed adds [0,2] -> var 16
     shards = [fake_shard(0, [5, 5]), fake_shard(1, [0, 10])]
-    cfg = RoutingConfig(batch_size=2, interval=1)
-    assert select_next_dynamic(_state([10.0, 0.0]), shards, cfg) == 1
+    assert select_next_dynamic(_state([10.0, 0.0]), shards, 2) == 1
 
 
 def test_select_tie_breaks_to_lowest_index():
     shards = [fake_shard(i, [4, 4]) for i in range(4)]
-    assert select_next_dynamic(_state([3.0, 9.0]), shards, RoutingConfig(2, 1)) == 0
+    assert select_next_dynamic(_state([3.0, 9.0]), shards, 2) == 0
 
 
 def test_select_may_keep_current_holder():
     # the holder itself offers the most balancing labels, so it wins again
     shards = [fake_shard(0, [0, 10]), fake_shard(1, [10, 0])]
     state = _state([5.0, 0.0], holder=0)
-    assert select_next_dynamic(state, shards, RoutingConfig(1, 1)) == 0
+    assert select_next_dynamic(state, shards, 1) == 0
 
 
 def test_select_skips_empty_shards():
     shards = [fake_shard(0, [0, 0]), fake_shard(1, [3, 3])]
-    assert select_next_dynamic(_state([9.0, 0.0]), shards, RoutingConfig(1, 1)) == 1
+    assert select_next_dynamic(_state([9.0, 0.0]), shards, 1) == 1
 
 
 def test_select_all_empty_error():
     shards = [fake_shard(0, [0, 0]), fake_shard(1, [0, 0])]
     with pytest.raises(StateError):
-        select_next_dynamic(_state([1.0, 2.0]), shards, RoutingConfig(1, 1))
+        select_next_dynamic(_state([1.0, 2.0]), shards, 1)
 
 
 def test_select_alternates_between_complementary_nodes():
     shards = [fake_shard(0, [8, 0]), fake_shard(1, [0, 8])]
-    cfg = RoutingConfig(1, 1)
     ledger = np.zeros(2)
     holder = 0
     for _ in range(16):
         ledger[holder] += 1.0  # single-label shard, B=1
-        chosen = select_next_dynamic(_state(ledger.copy(), holder), shards, cfg)
+        chosen = select_next_dynamic(_state(ledger.copy(), holder), shards, 1)
         expected = naive_next_node(ledger.tolist(), [(0, [8, 0]), (1, [0, 8])], 1, 1)
         assert chosen == expected == 1 - holder
         holder = chosen
@@ -150,10 +145,9 @@ def test_select_alternates_between_complementary_nodes():
 def test_select_invariant_under_uniform_ledger_offset():
     rng = np.random.default_rng(5)
     shards = [fake_shard(i, rng.integers(0, 20, 4)) for i in range(5)]
-    cfg = RoutingConfig(3, 2)
     ledger = rng.integers(0, 50, 4).astype(float)
-    base_choice = select_next_dynamic(_state(ledger), shards, cfg)
-    assert select_next_dynamic(_state(ledger + 1000.0), shards, cfg) == base_choice
+    base_choice = select_next_dynamic(_state(ledger), shards, 3 * 2)
+    assert select_next_dynamic(_state(ledger + 1000.0), shards, 3 * 2) == base_choice
 
 
 def test_select_matches_bruteforce_on_random_instances():
@@ -168,11 +162,11 @@ def test_select_matches_bruteforce_on_random_instances():
         batch_size = int(rng.integers(1, 65))
         interval = int(rng.integers(1, 9))
         shards = [fake_shard(i, counts) for i, counts in rows]
-        got = select_next_dynamic(_state(ledger), shards, RoutingConfig(batch_size, interval))
+        got = select_next_dynamic(_state(ledger), shards, batch_size * interval)
         assert got == naive_next_node(ledger.tolist(), rows, batch_size, interval)
 
 
-def sequential_select(state, shards, cfg):
+def sequential_select(state, shards, volume):
     """The per-candidate loop the vectorised router replaced, kept verbatim as
     its oracle: one exact ``dispersion`` per nonempty shard, in node order."""
     best_node = None
@@ -180,7 +174,7 @@ def sequential_select(state, shards, cfg):
     for shard in sorted(shards, key=lambda s: s.node_id):
         if shard.total <= 0:
             continue
-        candidate = LabelHistogram(state.cumulative.counts + expected_usage(shard, cfg).counts)
+        candidate = LabelHistogram(state.cumulative.counts + expected_usage(shard, volume).counts)
         var = dispersion(candidate)
         if best_var is None or var < best_var:
             best_node, best_var = shard.node_id, var
@@ -248,40 +242,51 @@ def test_select_matches_sequential_oracle(case):
     ledger, rows, batch_size, interval = case
     shards = [fake_shard(node_id, counts) for node_id, counts in rows]
     state = _state(np.asarray(ledger, dtype=float))
-    cfg = RoutingConfig(batch_size, interval)
+    volume = batch_size * interval
     try:
-        expected = sequential_select(state, shards, cfg)
+        expected = sequential_select(state, shards, volume)
     except StateError:
         with pytest.raises(StateError):
-            select_next_dynamic(state, shards, cfg)
+            select_next_dynamic(state, shards, volume)
         return
-    assert select_next_dynamic(state, shards, cfg) == expected
+    assert select_next_dynamic(state, shards, volume) == expected
+
+
+def _walk(route, holder, steps):
+    seen = []
+    for _ in range(steps):
+        holder = next_static(route, holder)
+        seen.append(holder)
+    return seen
 
 
 def test_static_route_cycles_in_order():
-    route = StaticRoute((0, 1, 2, 3, 4))
-    assert [next_static(route) for _ in range(7)] == [1, 2, 3, 4, 0, 1, 2]
+    assert _walk((0, 1, 2, 3, 4), 0, 7) == [1, 2, 3, 4, 0, 1, 2]
 
 
 def test_static_route_from_position():
-    route = StaticRoute((0, 2, 1, 3, 4), position=1)
-    assert next_static(route) == 1
+    assert next_static((0, 2, 1, 3, 4), 2) == 1
 
 
 def test_static_route_single_node():
-    route = StaticRoute((0,))
-    assert [next_static(route) for _ in range(3)] == [0, 0, 0]
+    assert _walk((0,), 0, 3) == [0, 0, 0]
 
 
 def test_static_route_visits_each_node_once_per_cycle():
-    route = StaticRoute((0, 3, 1, 4, 2))
-    seen = [next_static(route) for _ in range(5)]
+    seen = _walk((0, 3, 1, 4, 2), 0, 5)
     assert sorted(seen) == [0, 1, 2, 3, 4]
 
 
-def test_static_route_rejects_non_permutation():
+def test_static_route_rejects_holder_off_route():
     with pytest.raises(ValueError):
-        StaticRoute((0, 1, 1, 2))
+        next_static((0, 1, 2), 3)
+
+
+def test_volume_below_one_rejected():
+    with pytest.raises(ValueError, match="volume"):
+        expected_usage(fake_shard(0, [1, 1]), 0)
+    with pytest.raises(ValueError, match="volume"):
+        select_next_dynamic(_state([0.0, 0.0]), [fake_shard(0, [1, 1])], 0)
 
 
 def test_random_forced_choice():

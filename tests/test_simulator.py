@@ -68,6 +68,25 @@ def test_single_node_static_self_loop(small_task):
     assert all(r.holder == 0 for r in result.records)
 
 
+def test_static_run_follows_route_successors(small_task):
+    train, test = small_task
+    shards = split_contiguous_labels(train, 4)
+    route = (0, 2, 1, 3)
+    successor = {node: route[(i + 1) % len(route)] for i, node in enumerate(route)}
+    starts = set()
+    for seed in (3, 4):
+        # run_tram_fl's first draw from its seeded generator places the model
+        holder = int(np.random.default_rng(seed).integers(len(shards)))
+        starts.add(holder)
+        cfg = _cfg(policy=PolicySpec("static", route), max_iterations=9, eval_every=1, seed=seed)
+        expected = []
+        for _ in range(9):
+            holder = successor[holder]
+            expected.append(holder)
+        assert [r.holder for r in run_tram_fl(shards, test, cfg).records] == expected
+    assert len(starts) == 2
+
+
 def test_dynamic_routing_reaches_high_accuracy_fast():
     # two separable one-class nodes; pooled-data training is the feasibility oracle
     train, test = generate_synthetic_split(2, 2, 100, 50, 4.0, 11)
