@@ -42,6 +42,17 @@ QUICKSTART_SHA256 = {
     "summary.json": "7d2054158a3962ab48b541ce1f82fa8e33e865779e19948d86bd75e13a208333",
 }
 FINITE_DIFF_REPR = "np.float64(5.8713114699041985e-08)"
+# The same runs on an 8-16-16-10 net, so backprop through a hidden-to-hidden
+# layer is pinned too: (final params digest, transmissions_to_target, sha256
+# of the evaluation records as the CSV writes them).
+DEEP_TRAM_GOLDEN = (
+    "b5e0b65106d6370cd65f62a764cbde7bf5b1c03804a38d720c03c6e539765858", 100,
+    "349e09d526a2b1537674767b6d3a35998b092cd8fffeb6c2e52971d92f57103d",
+)
+DEEP_GOSSIP_GOLDEN = (
+    "bbf7d6a24993fff0c759f4161c842120645db29dc1bd94b5aea6d7a244b18d63", None,
+    "b385dafab7c90bf023ef5c8498f6b6b97d633870975ae8c46d62b4db11a7c1bf",
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +84,28 @@ def test_gossip_run_digest(task):
     result = run_gossip(split_contiguous_labels(train, 5), test, cfg)
     assert result.final_params_digest == GOSSIP_DIGEST
     assert result.transmissions_to_target is None
+
+
+def _deep_golden(result):
+    lines = "".join(
+        f"{r.iteration},{r.transmissions},{r.holder},{r.test_loss!r},{r.test_accuracy!r}\n"
+        for r in result.records
+    )
+    return (result.final_params_digest, result.transmissions_to_target,
+            hashlib.sha256(lines.encode()).hexdigest())
+
+
+def test_deep_tram_fl_trial_digest(task):
+    train, test = task
+    shards = split_random_k_labels(train, 5, 2, 5, np.random.default_rng(1))
+    cfg = replace(_base_cfg(), arch=ArchSpec((8, 16, 16, 10)), policy=PolicySpec("dynamic"))
+    assert _deep_golden(run_tram_fl(shards, test, cfg)) == DEEP_TRAM_GOLDEN
+
+
+def test_deep_gossip_run_digest(task):
+    train, test = task
+    cfg = replace(_base_cfg(), arch=ArchSpec((8, 16, 16, 10)), max_iterations=30)
+    assert _deep_golden(run_gossip(split_contiguous_labels(train, 5), test, cfg)) == DEEP_GOSSIP_GOLDEN
 
 
 def test_quickstart_outputs(tmp_path, capsys):
