@@ -46,12 +46,19 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatas
         raise ConfigError(
             f"learner.layers: last size {layers[-1]} is smaller than the CSV label range"
         )
+    class_totals = np.bincount(train.labels, minlength=train.num_classes)
+    absent = np.flatnonzero(class_totals == 0)
+    if len(absent):
+        raise ConfigError(
+            f"dataset.train: classes {absent.tolist()} have no rows in {d.train}; "
+            f"labels must cover 0..{train.num_classes - 1}"
+        )
     unseen = np.setdiff1d(test.labels, train.labels)
     if len(unseen):
         raise ConfigError(
             f"dataset.test: labels {unseen.tolist()} do not occur in the training set {d.train}"
         )
-    _check_partition_fits(cfg.partition, np.bincount(train.labels, minlength=train.num_classes).tolist())
+    _check_partition_fits(cfg.partition, class_totals.tolist())
     return train, test
 
 

@@ -6,6 +6,17 @@ Parameters live in one flat float64 vector so models can be copied,
 averaged, hashed, and serialized without touching layer structure. Layout:
 all weight matrices first (layer by layer, each flattened row-major with
 shape (fan_in, fan_out)), then all bias vectors in the same layer order.
+
+Every trajectory is pinned bit for bit by golden digests, so the numeric
+core follows three rules. In-place elementwise operations on an array the
+call allocated itself (``h += b``, ``np.exp(x, out=x)``, ``delta *= mask``)
+are allowed: each element gets the same operation on the same operands.
+Reductions keep their axis, operands and order, because numpy sums
+pairwise and a reordered sum moves the last bits; the row maximum may come
+from the argmax, whose element is the maximum, NaN and inf included. No
+dtype changes, and no masked assignment in place of a multiply by a mask:
+``x[~mask] = 0`` writes ``0.0`` where ``x * mask`` gives ``-0.0`` for a
+negative ``x`` and NaN for an infinite or NaN ``x``.
 """
 
 from __future__ import annotations
@@ -92,24 +103,28 @@ def _forward_batch(weights, biases, features: np.ndarray):
     activations = [features]
     hidden = features
     for w, b in zip(weights[:-1], biases[:-1]):
-        hidden = np.maximum(hidden @ w + b, 0.0)
+        hidden = hidden @ w
+        hidden += b
+        np.maximum(hidden, 0.0, out=hidden)
         activations.append(hidden)
-    logits = hidden @ weights[-1] + biases[-1]
+    logits = hidden @ weights[-1]
+    logits += biases[-1]
     return activations, logits
 
 
-def _softmax_parts(logits: np.ndarray):
-    """Exponentials of the max-shifted logits, their row sums, and the per-row
-    log-sum-exp (max-subtracted for stability)."""
-    zmax = logits.max(axis=1, keepdims=True)
-    exps = np.exp(logits - zmax)
+def _softmax_parts(logits: np.ndarray, zmax: np.ndarray):
+    """Exponentials of the logits shifted by their row maxima ``zmax``
+    (n, 1), their row sums, and the per-row log-sum-exp. The exponentials
+    overwrite ``logits``."""
+    logits -= zmax
+    exps = np.exp(logits, out=logits)
     sums = exps.sum(axis=1, keepdims=True)
     return exps, sums, np.log(sums) + zmax
 
 
-def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray, lse: np.ndarray) -> float:
-    picked = logits[np.arange(len(labels)), labels]
-    return float(np.mean(lse.ravel() - picked))
+def _mean_cross_entropy(lse: np.ndarray, picked: np.ndarray) -> float:
+    """Mean over rows of the log-sum-exp minus the label's logit."""
+    return float(np.add.reduce(lse.ravel() - picked) / len(picked))
 
 
 def forward(params: ModelParams, x) -> np.ndarray:
@@ -120,7 +135,7 @@ def forward(params: ModelParams, x) -> np.ndarray:
             f"expected feature vector of length {params.arch.layer_sizes[0]}, got shape {x.shape}"
         )
     _, logits = _forward_batch(*_views(params.arch, params.values), x[None, :])
-    exps, sums, _ = _softmax_parts(logits)
+    exps, sums, _ = _softmax_parts(logits, logits.max(axis=1, keepdims=True))
     return (exps / sums)[0]
 
 
@@ -134,14 +149,16 @@ def loss_and_grad(params: ModelParams, features, labels) -> tuple[float, np.ndar
         raise ValueError("batch must be nonempty")
     features = np.asarray(features, dtype=np.float64)
 
+    rows = np.arange(len(labels))
     weights, biases = _views(params.arch, params.values)
     activations, logits = _forward_batch(weights, biases, features)
-    exps, sums, lse = _softmax_parts(logits)
-    loss = _mean_cross_entropy(logits, labels, lse)
+    picked = logits[rows, labels]
+    exps, sums, lse = _softmax_parts(logits, logits.max(axis=1, keepdims=True))
+    loss = _mean_cross_entropy(lse, picked)
 
     delta = exps
     delta /= sums
-    delta[np.arange(len(labels)), labels] -= 1.0
+    delta[rows, labels] -= 1.0
     delta /= len(labels)
 
     grad = np.zeros_like(params.values)
@@ -150,7 +167,8 @@ def loss_and_grad(params: ModelParams, features, labels) -> tuple[float, np.ndar
         grad_w[layer][...] = activations[layer].T @ delta
         grad_b[layer][...] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ weights[layer].T) * (activations[layer] > 0)
+            delta = delta @ weights[layer].T
+            delta *= activations[layer] > 0
     return loss, grad
 
 
@@ -173,10 +191,12 @@ def evaluate(params: ModelParams, ds) -> tuple[float, float]:
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _, logits = _forward_batch(*_views(params.arch, params.values), ds.features)
+    rows = np.arange(len(ds))
     predictions = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(predictions == ds.labels))
-    _, _, lse = _softmax_parts(logits)
-    return accuracy, _mean_cross_entropy(logits, ds.labels, lse)
+    accuracy = int(np.count_nonzero(predictions == ds.labels)) / len(ds)
+    picked = logits[rows, ds.labels]
+    _, _, lse = _softmax_parts(logits, logits[rows, predictions][:, None])
+    return accuracy, _mean_cross_entropy(lse, picked)
 
 
 def finite_diff_check(params: ModelParams, features, labels, eps: float) -> float:

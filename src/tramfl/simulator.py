@@ -127,6 +127,8 @@ class _EvalTrace:
 
     def _evaluate(self, iteration, transmissions, holder, params) -> bool:
         accuracy, loss = evaluate(params, self.test_set)
+        # Plain floats, so a numpy scalar never reaches the CSV's repr().
+        accuracy, loss = float(accuracy), float(loss)
         self.records.append(EvalRecord(iteration, transmissions, holder, accuracy, loss))
         target = self.cfg.target_accuracy
         if target is not None and accuracy >= target:

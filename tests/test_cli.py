@@ -233,6 +233,24 @@ def test_csv_partition_checked_against_loaded_classes(tmp_path, capsys, partitio
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ["gossip", "static:0,1,2"], ids=["gossip", "ring"])
+def test_csv_train_labels_skipping_a_class_is_config_error(tmp_path, capsys, policy):
+    # Labels {0, 2}: a contiguous split over 3 nodes would give node 1 no rows.
+    (tmp_path / "train.csv").write_text("0,0.0,1.0\n2,1.0,0.0\n0,0.5,1.0\n2,1.0,0.5\n")
+    (tmp_path / "test.csv").write_text("0,0.0,1.0\n2,1.0,1.0\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        "[partition]\nscheme = contiguous\nnodes = 3\n\n"
+        "[learner]\nlayers = 2,4,3\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        f"[policies]\nrun = {policy}\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "dataset.train" in err and "[1]" in err
+
+
 def test_table_counts_beyond_training_set_is_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(

@@ -15,6 +15,7 @@ from tramfl import (
     loss_and_grad,
     sgd_step,
 )
+from tramfl.learner import _views
 
 
 def _random_batch(rng, dims, num_classes, size):
@@ -286,3 +287,113 @@ def test_average_permutation_invariant(weights, seed):
     order = rng.permutation(len(weights))
     shuffled = average_params([models[i] for i in order], [weights[i] for i in order])
     assert np.allclose(avg.values, shuffled.values, atol=1e-12)
+
+
+# The numeric core as it stood before its allocation-lean rewrite, kept
+# verbatim as the oracle the rewrite must match bit for bit.
+def _oracle_forward_batch(weights, biases, features):
+    activations = [features]
+    hidden = features
+    for w, b in zip(weights[:-1], biases[:-1]):
+        hidden = np.maximum(hidden @ w + b, 0.0)
+        activations.append(hidden)
+    logits = hidden @ weights[-1] + biases[-1]
+    return activations, logits
+
+
+def _oracle_softmax_parts(logits):
+    zmax = logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits - zmax)
+    sums = exps.sum(axis=1, keepdims=True)
+    return exps, sums, np.log(sums) + zmax
+
+
+def _oracle_mean_cross_entropy(logits, labels, lse):
+    picked = logits[np.arange(len(labels)), labels]
+    return float(np.mean(lse.ravel() - picked))
+
+
+def oracle_loss_and_grad(params, features, labels):
+    if len(labels) == 0:
+        raise ValueError("batch must be nonempty")
+    features = np.asarray(features, dtype=np.float64)
+
+    weights, biases = _views(params.arch, params.values)
+    activations, logits = _oracle_forward_batch(weights, biases, features)
+    exps, sums, lse = _oracle_softmax_parts(logits)
+    loss = _oracle_mean_cross_entropy(logits, labels, lse)
+
+    delta = exps
+    delta /= sums
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta /= len(labels)
+
+    grad = np.zeros_like(params.values)
+    grad_w, grad_b = _views(params.arch, grad)
+    for layer in reversed(range(len(grad_w))):
+        grad_w[layer][...] = activations[layer].T @ delta
+        grad_b[layer][...] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (activations[layer] > 0)
+    return loss, grad
+
+
+def oracle_evaluate(params, ds):
+    if len(ds) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
+    _, logits = _oracle_forward_batch(*_views(params.arch, params.values), ds.features)
+    predictions = np.argmax(logits, axis=1)
+    accuracy = float(np.mean(predictions == ds.labels))
+    _, _, lse = _oracle_softmax_parts(logits)
+    return accuracy, _oracle_mean_cross_entropy(logits, ds.labels, lse)
+
+
+@st.composite
+def numeric_cases(draw):
+    """A 1-3 hidden-layer net and 1-600 rows.
+
+    Params are He-initialised, all zero (every logit ties), or standard
+    normal scaled by up to 1e200, so logits overflow to inf and NaN. Rows may
+    repeat, and labels may come from a subset that skips classes.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dims = draw(st.integers(min_value=1, max_value=8))
+    hidden = draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3))
+    num_classes = draw(st.integers(min_value=1, max_value=10))
+    arch = ArchSpec((dims, *hidden, num_classes))
+    kind = draw(st.sampled_from(["he", "zero", "scaled"]))
+    if kind == "he":
+        params = init_he(arch, seed)
+    elif kind == "zero":
+        params = _zero_params(arch)
+    else:
+        scale = 10.0 ** draw(st.integers(min_value=0, max_value=200))
+        params = ModelParams(arch, scale * rng.standard_normal(arch.num_params()))
+    rows = draw(st.integers(min_value=1, max_value=600))
+    if draw(st.booleans()):
+        distinct = rng.standard_normal((draw(st.integers(min_value=1, max_value=4)), dims))
+        features = distinct[rng.integers(len(distinct), size=rows)]
+    else:
+        features = rng.standard_normal((rows, dims))
+    classes = np.arange(num_classes)
+    if draw(st.booleans()):
+        classes = classes[rng.random(num_classes) < 0.5] if num_classes > 1 else classes
+        classes = classes if len(classes) else np.array([num_classes - 1])
+    labels = rng.choice(classes, size=rows)
+    return params, features, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_cases())
+def test_numeric_core_matches_oracle_bit_for_bit(case):
+    params, features, labels = case
+    ds = LabeledDataset(features, labels, params.arch.layer_sizes[-1], params.arch.layer_sizes[0])
+    with np.errstate(all="ignore"):
+        got_eval, want_eval = evaluate(params, ds), oracle_evaluate(params, ds)
+        got_loss, got_grad = loss_and_grad(params, features, labels)
+        want_loss, want_grad = oracle_loss_and_grad(params, features, labels)
+    assert [type(v) for v in got_eval] == [float, float]
+    assert repr(got_eval) == repr(want_eval)
+    assert type(got_loss) is float and repr(got_loss) == repr(want_loss)
+    assert got_grad.tobytes() == want_grad.tobytes()

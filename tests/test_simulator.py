@@ -60,6 +60,26 @@ def test_record_fields_and_ordering(small_task):
         assert record.holder in (0, 1)
 
 
+@pytest.mark.parametrize("numpy_scalars", [False, True], ids=["as_is", "numpy_scalars"])
+def test_record_fields_are_exact_builtin_types(small_task, monkeypatch, numpy_scalars):
+    # The CSV writes repr() of each field, and repr(np.float64(x)) is not repr(x).
+    if numpy_scalars:
+        from tramfl import simulator
+
+        real = simulator.evaluate
+        monkeypatch.setattr(simulator, "evaluate",
+                            lambda params, ds: tuple(np.float64(v) for v in real(params, ds)))
+    train, test = small_task
+    shards = split_contiguous_labels(train, 2)
+    results = [run_tram_fl(shards, test, _cfg(max_iterations=6)),
+               run_gossip(shards, test, _cfg(max_iterations=3, policy=PolicySpec("gossip")))]
+    for result in results:
+        assert result.records
+        for record in result.records:
+            assert [type(getattr(record, f)) for f in ("iteration", "transmissions", "holder")] == [int] * 3
+            assert [type(record.test_accuracy), type(record.test_loss)] == [float, float]
+
+
 def test_single_node_static_self_loop(small_task):
     train, test = small_task
     shards = split_contiguous_labels(train, 1)
