@@ -376,11 +376,11 @@ def numeric_cases(draw):
         features = distinct[rng.integers(len(distinct), size=rows)]
     else:
         features = rng.standard_normal((rows, dims))
-    classes = np.arange(num_classes)
+    keep = np.ones(num_classes, dtype=bool)
     if draw(st.booleans()):
-        classes = classes[rng.random(num_classes) < 0.5] if num_classes > 1 else classes
-        classes = classes if len(classes) else np.array([num_classes - 1])
-    labels = rng.choice(classes, size=rows)
+        keep = rng.random(num_classes) < 0.5
+        keep[-1] = True
+    labels = rng.choice(np.flatnonzero(keep), size=rows)
     return params, features, labels
 
 

@@ -18,6 +18,7 @@ from tramfl import (
     sgd_step,
     split_contiguous_labels,
 )
+from tramfl import simulator
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +65,6 @@ def test_record_fields_and_ordering(small_task):
 def test_record_fields_are_exact_builtin_types(small_task, monkeypatch, numpy_scalars):
     # The CSV writes repr() of each field, and repr(np.float64(x)) is not repr(x).
     if numpy_scalars:
-        from tramfl import simulator
-
         real = simulator.evaluate
         monkeypatch.setattr(simulator, "evaluate",
                             lambda params, ds: tuple(np.float64(v) for v in real(params, ds)))
