@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -62,9 +63,12 @@ def _parse_int(path, raw):
 
 def _parse_float(path, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{path}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(path, raw):

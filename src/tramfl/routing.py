@@ -61,35 +61,96 @@ def expected_usage(shard, volume: int) -> LabelHistogram:
     return LabelHistogram(shard.hist.counts * factor)
 
 
+class RouteTable(tuple):
+    """The shards sorted by node id, carrying the dynamic router's constants
+    for one ``volume``.
+
+    It is a tuple of the shards, so it can stand in for the shard list
+    wherever one is read. Built once per run, it holds:
+
+    - ``node_ids``: the candidate node of each row below, in ascending order;
+    - ``usage``: S, one :func:`expected_usage` row per nonempty shard, with
+      each repeated row kept only at its lowest node id;
+    - ``centred``: Sc, each row of S minus its mean, and ``norms``, the
+      squared row norms of Sc;
+    - ``max_usage``: the largest entry of S.
+
+    Raises StateError if every shard is empty.
+    """
+
+    def __new__(cls, shards, volume: int):
+        _check_volume(volume)
+        table = super().__new__(cls, sorted(shards, key=lambda s: s.node_id))
+        rows = {}
+        for shard in table:
+            if shard.total > 0:
+                row = expected_usage(shard, volume).counts
+                rows.setdefault(row.tobytes(), (shard.node_id, row))
+        if not rows:
+            raise StateError("no nonempty shard to route to")
+        table.volume = volume
+        table.node_ids = [node_id for node_id, _ in rows.values()]
+        table.usage = np.array([row for _, row in rows.values()])
+        table.centred = table.usage - table.usage.mean(axis=1, keepdims=True)
+        table.norms = (table.centred * table.centred).sum(axis=1)
+        table.max_usage = float(table.usage.max())
+        return table
+
+
 def select_next_dynamic(state: RoutingState, shards, volume: int) -> int:
     """Pick the node whose expected usage of ``volume`` samples leaves the
     ledger most uniform.
 
     Every nonempty shard is a candidate, including the current holder; ties
     break to the lowest node index. Raises StateError if all shards are empty.
+    The choice is the first minimum of :func:`dispersion` over the candidate
+    ledgers ``L + S_v`` (ledger plus :func:`expected_usage`), in node order.
 
-    All candidate ledgers (ledger plus :func:`expected_usage`, computed with
-    the same arithmetic) are scored with one vectorised variance. Its
-    summation order differs from :func:`dispersion`'s, so it only
-    shortlists: every candidate within 1e-9 * (1 + max entry**2) of the best
-    score, far wider than the rounding error of either sum. The bound scales
-    with the entries, not with the best score, which can be exactly 0. The
-    exact ``dispersion`` then decides among the shortlist.
+    ``shards`` is a :class:`RouteTable` built for ``volume``, or any sequence
+    of shards, for which a table is built for this call. A table built for
+    another volume is rebuilt too. The simulator builds one table per run.
+
+    Scoring. With C classes, L̄ the mean of L and Sc_v the centred row of
+    S_v, ``C * var(L + S_v) = |L - L̄|² + 2 Sc_v·(L - L̄) + |Sc_v|²``. The
+    first term is the same for every candidate, so it is dropped and each
+    candidate scores ``2 Sc_v·(L - L̄) + |Sc_v|²``: a large ledger's
+    variance never has to cancel against itself. The rows of Sc sum to
+    zero, so ``Sc_v·(L - L̄) = Sc_v·L`` and one matrix-vector product with
+    the ledger scores every candidate.
+
+    Dropping repeated rows of S cannot change the choice: two nodes with the
+    same row (same bits) have the same candidate ledger and the same exact
+    ``dispersion``, so the later one can never beat the earlier one.
+
+    Tolerance. The score only shortlists: every candidate within
+    ``1e-9 * C * (1 + M²)`` of the best score goes on to the exact
+    ``dispersion``, which decides, ties to the lowest node id. Here
+    ``M = max|L| + max S`` bounds every entry of every candidate ledger, so
+    every deviation, square and product either computation forms is at most
+    4M² in size. Each of the C terms of a sum is rounded at most about C
+    times, at unit roundoff u = 2**-53, and the candidate ledgers themselves
+    are rounded once per entry. The errors of centring are second order,
+    since the centred rows sum to zero up to rounding. So the score and
+    ``C * dispersion - |L - L̄|²`` differ by at most about ``40 C² u M²``,
+    and a candidate with the least exact ``dispersion`` scores within twice
+    that of the best score. The tolerance exceeds that for any C below
+    ``1e-9 / (80 u)``, about 10**5. It scales with the entries, not with the
+    best score, which can be exactly 0.
     """
-    _check_volume(volume)
-    nodes = [s for s in sorted(shards, key=lambda s: s.node_id) if s.total > 0]
-    if not nodes:
-        raise StateError("no nonempty shard to route to")
-    totals = np.array([s.total for s in nodes], dtype=np.float64)
-    usage = np.array([s.hist.counts for s in nodes]) * (volume / totals)[:, None]
-    candidates = state.cumulative.counts + usage
-    scores = candidates.var(axis=1)
-    tolerance = 1e-9 * (1.0 + float(np.abs(candidates).max()) ** 2)
+    if not (isinstance(shards, RouteTable) and shards.volume == volume):
+        shards = RouteTable(shards, volume)
+    ledger = state.cumulative.counts
+    scores = shards.centred @ ledger
+    scores *= 2.0
+    scores += shards.norms
+    bound = float(np.abs(ledger).max()) + shards.max_usage
+    tolerance = 1e-9 * len(ledger) * (1.0 + bound * bound)
     shortlist = np.flatnonzero(scores <= scores.min() + tolerance)
-    if len(shortlist) == 1:
-        return nodes[shortlist[0]].node_id
-    exact = [dispersion(LabelHistogram(candidates[i])) for i in shortlist]
-    return nodes[shortlist[exact.index(min(exact))]].node_id
+    best = shortlist[0]
+    if len(shortlist) > 1:
+        exact = [dispersion(LabelHistogram(ledger + shards.usage[i])) for i in shortlist]
+        best = shortlist[exact.index(min(exact))]
+    return shards.node_ids[best]
 
 
 def next_static(route: tuple[int, ...], holder: int) -> int:

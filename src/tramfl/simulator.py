@@ -19,7 +19,14 @@ import numpy as np
 from .datasets import LabelHistogram, draw_minibatch
 from .errors import StateError
 from .learner import ArchSpec, ModelParams, average_params, evaluate, init_he, loss_and_grad, sgd_step
-from .routing import RoutingState, next_random, next_static, select_next_dynamic, update_ledger
+from .routing import (
+    RouteTable,
+    RoutingState,
+    next_random,
+    next_static,
+    select_next_dynamic,
+    update_ledger,
+)
 
 POLICY_KINDS = ("dynamic", "static", "random", "gossip")
 
@@ -174,6 +181,8 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     num_classes = shards[0].hist.counts.shape[0]
     state = RoutingState(LabelHistogram(np.zeros(num_classes)), holder=holder)
     volume = cfg.batch_size * cfg.interval
+    if policy.kind == "dynamic":
+        shards = RouteTable(shards, volume)
 
     trace = _EvalTrace(test_set, cfg)
     transmissions = 0

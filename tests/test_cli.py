@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,19 @@ def test_table_counts_beyond_training_set_is_config_error(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "partition.counts" in err and "class 0" in err
+
+
+@pytest.mark.parametrize("key", ["learner.eta", "dataset.separation"])
+def test_non_finite_float_is_config_error(tmp_path, capsys, key):
+    """With ``inf`` here the quickstart used to train on NaN, print 0/3 for
+    every policy and exit 0."""
+    name = key.split(".")[1]
+    text = (Path(__file__).parents[1] / "configs" / "quickstart.cfg").read_text()
+    text = re.sub(rf"^{name} = .*$", f"{name} = inf", text, count=1, flags=re.M)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text.replace("iterations = 4000", "iterations = 20"))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_enumerate_static_routes_table():

@@ -146,6 +146,29 @@ def test_target_accuracy_range():
         parse_config_text(_patched("target_accuracy = 0.9", "target_accuracy = 1.5"))
 
 
+EXPONENTIAL_TEXT = (
+    FULL_TEXT.replace("classes = 4", "classes = 2")
+    .replace("scheme = random_k\nnodes = 3\nk_min = 1\nk_max = 2", "scheme = exponential\nnodes = 3\nrate = 1.0")
+    .replace("layers = 4,16,4", "layers = 4,16,2")
+)
+
+
+@pytest.mark.parametrize("key, largest", [
+    ("dataset.separation", "1e308"),
+    ("partition.rate", "1e308"),
+    ("learner.eta", "1e308"),
+    ("run.target_accuracy", "1"),
+])
+def test_non_finite_float_rejected(key, largest):
+    text = EXPONENTIAL_TEXT if key == "partition.rate" else FULL_TEXT
+    name = key.split(".")[1]
+    line = next(line for line in text.splitlines() if line.startswith(f"{name} = "))
+    parse_config_text(text.replace(line, f"{name} = {largest}"))
+    for raw in ("inf", "-inf", "nan", "Infinity"):
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            parse_config_text(text.replace(line, f"{name} = {raw}"))
+
+
 def test_scheme_key_crosstalk_rejected():
     with pytest.raises(ConfigError, match="partition.k_min"):
         parse_config_text(_patched("scheme = random_k", "scheme = contiguous"))

@@ -90,6 +90,9 @@ def test_router_arguments_as_the_benchmark_reads_them(monkeypatch):
     hops = _recording(monkeypatch, "select_next_dynamic")
     run_tram_fl(shards, test, cfg)
     assert len(hops) == 6
+    # route_stats caches usage by id(shards): one object per trial, in node order
+    assert all(hop_shards is hops[0][1] for _, hop_shards, _ in hops)
+    assert [s.node_id for s in hops[0][1]] == sorted(s.node_id for s in shards)
     for state, hop_shards, third in hops:
         assert state.cumulative.counts.shape == (10,)
         assert isinstance(state.holder, int)

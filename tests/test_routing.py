@@ -15,6 +15,7 @@ from tramfl import (
     update_ledger,
 )
 from tramfl.partition import DatasetShard
+from tramfl.routing import RouteTable
 
 
 def fake_shard(node_id, counts):
@@ -250,6 +251,56 @@ def test_select_matches_sequential_oracle(case):
             select_next_dynamic(state, shards, volume)
         return
     assert select_next_dynamic(state, shards, volume) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(routing_cases(), st.data())
+def test_route_table_reuse_matches_sequential_oracle(case, data):
+    """One table serves a walk of growing ledgers, as it does for a run."""
+    ledger, rows, batch_size, interval = case
+    shards = [fake_shard(node_id, counts) for node_id, counts in rows]
+    volume = batch_size * interval
+    if all(sum(counts) == 0 for _, counts in rows):
+        with pytest.raises(StateError):
+            RouteTable(shards, volume)
+        return
+    table = RouteTable(shards, volume)
+    ledger = np.asarray(ledger, dtype=float)
+    num_classes = len(ledger)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+        state = _state(ledger)
+        chosen = select_next_dynamic(state, table, volume)
+        assert chosen == sequential_select(state, shards, volume)
+        top = data.draw(st.sampled_from([50, 10**4, 10**8]))
+        step = data.draw(st.one_of(
+            st.just(next(s for s in shards if s.node_id == chosen).hist.counts),
+            st.integers(min_value=0, max_value=top).map(lambda k: np.full(num_classes, k)),
+            st.lists(st.integers(min_value=0, max_value=top),
+                     min_size=num_classes, max_size=num_classes),
+        ))
+        ledger = ledger + np.asarray(step, dtype=float)
+
+
+def test_route_table_keeps_lowest_id_of_duplicate_rows():
+    counts = {0: [1, 5], 1: [5, 1], 2: [1, 5], 3: [5, 1]}
+    shards = [fake_shard(i, counts[i]) for i in (3, 0, 2, 1)]
+    table = RouteTable(shards, 4)
+    assert [s.node_id for s in table] == [0, 1, 2, 3]
+    assert table.node_ids == [0, 1]
+    assert select_next_dynamic(_state([0.0, 9.0]), table, 4) == 1
+    assert select_next_dynamic(_state([9.0, 0.0]), table, 4) == 0
+
+
+def test_route_table_for_another_volume_gives_the_plain_list_answer():
+    # ledger [0, 4]: node 0 adds [v, 0], node 1 adds [v/2, v/2]; node 0
+    # wins for 0 < v < 8 and node 1 for v > 8
+    shards = [fake_shard(0, [6, 0]), fake_shard(1, [1, 1])]
+    table = RouteTable(shards, 1)
+    state = _state([0.0, 4.0])
+    assert select_next_dynamic(state, table, 1) == select_next_dynamic(state, shards, 1) == 0
+    assert select_next_dynamic(state, table, 10) == select_next_dynamic(state, shards, 10) == 1
+    with pytest.raises(ValueError, match="volume"):
+        select_next_dynamic(state, table, 0)
 
 
 def _walk(route, holder, steps):
