@@ -8,15 +8,28 @@ all weight matrices first (layer by layer, each flattened row-major with
 shape (fan_in, fan_out)), then all bias vectors in the same layer order.
 
 Every trajectory is pinned bit for bit by golden digests, so the numeric
-core follows three rules. In-place elementwise operations on an array the
-call allocated itself (``h += b``, ``np.exp(x, out=x)``, ``delta *= mask``)
+core follows four rules. In-place elementwise operations on an array the
+call owns (one it allocated, a workspace buffer, or the parameter vector
+of an in-place step: ``h += b``, ``np.exp(x, out=x)``, ``delta *= mask``)
 are allowed: each element gets the same operation on the same operands.
 Reductions keep their axis, operands and order, because numpy sums
 pairwise and a reordered sum moves the last bits; the row maximum may come
 from the argmax, whose element is the maximum, NaN and inf included. No
 dtype changes, and no masked assignment in place of a multiply by a mask:
 ``x[~mask] = 0`` writes ``0.0`` where ``x * mask`` gives ``-0.0`` for a
-negative ``x`` and NaN for an infinite or NaN ``x``.
+negative ``x`` and NaN for an infinite or NaN ``x``. A matmul may write
+into an ``out=`` buffer only if that buffer is C-contiguous and aligned,
+the layout numpy would allocate for the result: numpy then makes the same
+BLAS call. An ``out`` in another layout can change the call and the bits;
+a Fortran-ordered ``out`` does for a (500, 32) @ (32, 10) product.
+
+``loss_and_grad``, ``evaluate`` and ``sgd_step`` take an optional
+``workspace``, a :class:`_Workspace` built once per trial. It keeps the
+layer views, the gradient and the per-row-count buffers between calls, so
+a step allocates little. A gradient returned through a workspace is that
+workspace's buffer: its next ``loss_and_grad`` overwrites it. ``sgd_step``
+with a workspace updates ``params.values`` in place; without one it
+returns a new :class:`ModelParams`.
 """
 
 from __future__ import annotations
@@ -86,6 +99,46 @@ def _views(arch: ArchSpec, flat: np.ndarray):
     return weights, biases
 
 
+class _Workspace:
+    """Scratch for one architecture, reused across calls: the layer views of
+    the last parameter vector seen, activation and logit buffers for the last
+    row count seen, and a gradient made on first use. Views are rebuilt when
+    a call brings another parameter vector, buffers when it brings another
+    row count."""
+
+    def __init__(self, arch: ArchSpec):
+        self.arch = arch
+        self._grad = None
+        self._values = None
+        self._rows = 0
+
+    def views(self, params: ModelParams):
+        """Weight and bias views into ``params.values``."""
+        if params.arch is not self.arch and params.arch != self.arch:
+            raise ValueError(f"workspace is for {self.arch}, params are {params.arch}")
+        if params.values is not self._values:
+            self._values = params.values
+            self.weights, self.biases = _views(self.arch, params.values)
+        return self.weights, self.biases
+
+    def size(self, rows: int) -> None:
+        """Size the row buffers for a batch of ``rows`` rows."""
+        if rows == self._rows:
+            return
+        widths = self.arch.layer_sizes[1:-1]
+        self.hidden = [np.empty((rows, w)) for w in widths]
+        self.logits = np.empty((rows, self.arch.layer_sizes[-1]))
+        self.rows = np.arange(rows)
+        self._rows = rows
+
+    def gradient(self):
+        """The gradient vector and its weight and bias views."""
+        if self._grad is None:
+            grad = np.zeros(self.arch.num_params())
+            self._grad = (grad, *_views(self.arch, grad))
+        return self._grad
+
+
 def init_he(arch: ArchSpec, seed: int) -> ModelParams:
     """He initialization: weights ~ N(0, 2/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
@@ -97,17 +150,18 @@ def init_he(arch: ArchSpec, seed: int) -> ModelParams:
     return ModelParams(arch, values)
 
 
-def _forward_batch(weights, biases, features: np.ndarray):
-    """Activations per layer plus output logits for a (n, dims) batch, given
-    the layer views from :func:`_views`."""
+def _forward_batch(ws: _Workspace, params: ModelParams, features: np.ndarray):
+    """Activations per layer plus output logits for a (n, dims) batch, in the
+    workspace's buffers (sized for n rows)."""
+    weights, biases = ws.views(params)
     activations = [features]
     hidden = features
-    for w, b in zip(weights[:-1], biases[:-1]):
-        hidden = hidden @ w
+    for w, b, out in zip(weights[:-1], biases[:-1], ws.hidden):
+        hidden = np.matmul(hidden, w, out=out)
         hidden += b
         np.maximum(hidden, 0.0, out=hidden)
         activations.append(hidden)
-    logits = hidden @ weights[-1]
+    logits = np.matmul(hidden, weights[-1], out=ws.logits)
     logits += biases[-1]
     return activations, logits
 
@@ -134,55 +188,70 @@ def forward(params: ModelParams, x) -> np.ndarray:
         raise ValueError(
             f"expected feature vector of length {params.arch.layer_sizes[0]}, got shape {x.shape}"
         )
-    _, logits = _forward_batch(*_views(params.arch, params.values), x[None, :])
+    ws = _Workspace(params.arch)
+    ws.size(1)
+    _, logits = _forward_batch(ws, params, x[None, :])
     exps, sums, _ = _softmax_parts(logits, logits.max(axis=1, keepdims=True))
     return (exps / sums)[0]
 
 
-def loss_and_grad(params: ModelParams, features, labels) -> tuple[float, np.ndarray]:
+def loss_and_grad(params: ModelParams, features, labels, *,
+                  workspace: _Workspace | None = None) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch and its gradient via backprop.
 
     The batch is ``features`` rows (n, dims) with class indices ``labels``
     (n,). The gradient vector shares the flat layout of ``params.values``.
+    With a ``workspace`` the gradient is its buffer, overwritten by the
+    workspace's next call.
     """
     if len(labels) == 0:
         raise ValueError("batch must be nonempty")
     features = np.asarray(features, dtype=np.float64)
+    ws = workspace if workspace is not None else _Workspace(params.arch)
+    ws.size(len(labels))
 
-    rows = np.arange(len(labels))
-    weights, biases = _views(params.arch, params.values)
-    activations, logits = _forward_batch(weights, biases, features)
-    picked = logits[rows, labels]
+    activations, logits = _forward_batch(ws, params, features)
+    picked = logits[ws.rows, labels]
     exps, sums, lse = _softmax_parts(logits, logits.max(axis=1, keepdims=True))
     loss = _mean_cross_entropy(lse, picked)
 
     delta = exps
     delta /= sums
-    delta[rows, labels] -= 1.0
+    delta[ws.rows, labels] -= 1.0
     delta /= len(labels)
 
-    grad = np.zeros_like(params.values)
-    grad_w, grad_b = _views(params.arch, grad)
+    grad, grad_w, grad_b = ws.gradient()
     for layer in reversed(range(len(grad_w))):
-        grad_w[layer][...] = activations[layer].T @ delta
-        grad_b[layer][...] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
         if layer > 0:
-            delta = delta @ weights[layer].T
-            delta *= activations[layer] > 0
+            # This is the last read of activations[layer]: take its mask,
+            # then let the next delta overwrite it.
+            mask = activations[layer] > 0
+            delta = np.matmul(delta, ws.weights[layer].T, out=activations[layer])
+            delta *= mask
     return loss, grad
 
 
-def sgd_step(params: ModelParams, grad: np.ndarray, eta: float) -> ModelParams:
-    """One gradient-descent update; returns a new ModelParams."""
+def sgd_step(params: ModelParams, grad: np.ndarray, eta: float, *,
+             workspace: _Workspace | None = None) -> ModelParams:
+    """One gradient-descent update, ``values - eta * grad``.
+
+    Returns a new ModelParams, or with a ``workspace`` overwrites
+    ``params.values`` with the same elementwise result and returns ``params``.
+    """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.values.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match {params.values.shape}")
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    return ModelParams(params.arch, params.values - eta * grad)
+    if workspace is None:
+        return ModelParams(params.arch, params.values - eta * grad)
+    params.values -= eta * grad
+    return params
 
 
-def evaluate(params: ModelParams, ds) -> tuple[float, float]:
+def evaluate(params: ModelParams, ds, *, workspace: _Workspace | None = None) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a dataset.
 
     Prediction is the argmax class; exact logit ties resolve to the lowest
@@ -190,12 +259,13 @@ def evaluate(params: ModelParams, ds) -> tuple[float, float]:
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _, logits = _forward_batch(*_views(params.arch, params.values), ds.features)
-    rows = np.arange(len(ds))
-    predictions = np.argmax(logits, axis=1)
+    ws = workspace if workspace is not None else _Workspace(params.arch)
+    ws.size(len(ds))
+    _, logits = _forward_batch(ws, params, ds.features)
+    predictions = logits.argmax(axis=1)
     accuracy = int(np.count_nonzero(predictions == ds.labels)) / len(ds)
-    picked = logits[rows, ds.labels]
-    _, _, lse = _softmax_parts(logits, logits[rows, predictions][:, None])
+    picked = logits[ws.rows, ds.labels]
+    _, _, lse = _softmax_parts(logits, logits[ws.rows, predictions][:, None])
     return accuracy, _mean_cross_entropy(lse, picked)
 
 
@@ -209,13 +279,15 @@ def finite_diff_check(params: ModelParams, features, labels, eps: float) -> floa
         raise ValueError(f"eps must be > 0, got {eps}")
     _, grad = loss_and_grad(params, features, labels)
     base = params.values
+    bumped = ModelParams(params.arch, base.copy())
+    workspace = _Workspace(params.arch)
     worst = 0.0
     for i in range(base.shape[0]):
-        bumped = base.copy()
-        bumped[i] = base[i] + eps
-        plus = loss_and_grad(ModelParams(params.arch, bumped), features, labels)[0]
-        bumped[i] = base[i] - eps
-        minus = loss_and_grad(ModelParams(params.arch, bumped), features, labels)[0]
+        bumped.values[i] = base[i] + eps
+        plus = loss_and_grad(bumped, features, labels, workspace=workspace)[0]
+        bumped.values[i] = base[i] - eps
+        minus = loss_and_grad(bumped, features, labels, workspace=workspace)[0]
+        bumped.values[i] = base[i]
         diff = (plus - minus) / (2.0 * eps)
         rel = abs(diff - grad[i]) / max(1e-8, abs(diff) + abs(grad[i]))
         worst = max(worst, rel)

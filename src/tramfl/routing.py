@@ -81,16 +81,20 @@ class RouteTable(tuple):
     def __new__(cls, shards, volume: int):
         _check_volume(volume)
         table = super().__new__(cls, sorted(shards, key=lambda s: s.node_id))
-        rows = {}
-        for shard in table:
-            if shard.total > 0:
-                row = expected_usage(shard, volume).counts
-                rows.setdefault(row.tobytes(), (shard.node_id, row))
-        if not rows:
+        nonempty = [shard for shard in table if shard.total > 0]
+        if not nonempty:
             raise StateError("no nonempty shard to route to")
+        # expected_usage for every row at once: the same counts * (volume / total)
+        totals = np.array([shard.total for shard in nonempty], dtype=np.float64)
+        usage = np.array([shard.hist.counts for shard in nonempty]) * (volume / totals)[:, None]
+        raw, width = usage.tobytes(), usage.shape[1] * usage.itemsize
+        first = {}
+        for i in range(len(nonempty)):
+            first.setdefault(raw[i * width:(i + 1) * width], i)
+        keep = list(first.values())
         table.volume = volume
-        table.node_ids = [node_id for node_id, _ in rows.values()]
-        table.usage = np.array([row for _, row in rows.values()])
+        table.node_ids = [nonempty[i].node_id for i in keep]
+        table.usage = usage[keep]
         table.centred = table.usage - table.usage.mean(axis=1, keepdims=True)
         table.norms = (table.centred * table.centred).sum(axis=1)
         table.max_usage = float(table.usage.max())

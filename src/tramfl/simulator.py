@@ -18,7 +18,16 @@ import numpy as np
 
 from .datasets import LabelHistogram, draw_minibatch
 from .errors import StateError
-from .learner import ArchSpec, ModelParams, average_params, evaluate, init_he, loss_and_grad, sgd_step
+from .learner import (
+    ArchSpec,
+    ModelParams,
+    _Workspace,
+    average_params,
+    evaluate,
+    init_he,
+    loss_and_grad,
+    sgd_step,
+)
 from .routing import (
     RouteTable,
     RoutingState,
@@ -114,12 +123,13 @@ class _EvalTrace:
     a traveling model, which sends one at a time, that is every
     ``eval_every``-th transmission) and reports whether the target accuracy
     was reached. :meth:`result` adds the terminal evaluation and builds the
-    :class:`TrialResult`.
+    :class:`TrialResult`. Evaluations run in the caller's ``workspace``.
     """
 
-    def __init__(self, test_set, cfg: RunConfig):
+    def __init__(self, test_set, cfg: RunConfig, workspace: _Workspace):
         self.test_set = test_set
         self.cfg = cfg
+        self.workspace = workspace
         self.records: list[EvalRecord] = []
         self.reached: int | None = None
         self.bucket = 0
@@ -133,7 +143,7 @@ class _EvalTrace:
         return self._evaluate(iteration, transmissions, holder, params)
 
     def _evaluate(self, iteration, transmissions, holder, params) -> bool:
-        accuracy, loss = evaluate(params, self.test_set)
+        accuracy, loss = evaluate(params, self.test_set, workspace=self.workspace)
         # Plain floats, so a numpy scalar never reaches the CSV's repr().
         accuracy, loss = float(accuracy), float(loss)
         self.records.append(EvalRecord(iteration, transmissions, holder, accuracy, loss))
@@ -158,7 +168,8 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     initial holder (uniform over nonempty shards), every minibatch draw, and
     any random routing choices. Evaluates after every `eval_every`-th
     transmission and at termination; stops early once `target_accuracy` is
-    reached at an evaluation point.
+    reached at an evaluation point. The one model is trained in place, in a
+    workspace built for the trial.
     """
     policy = cfg.policy
     if policy is None:
@@ -184,13 +195,17 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     if policy.kind == "dynamic":
         shards = RouteTable(shards, volume)
 
-    trace = _EvalTrace(test_set, cfg)
+    # Training and evaluation alternate at every hop, so each keeps its own
+    # workspace and its buffers for the whole trial.
+    workspace = _Workspace(cfg.arch)
+    trace = _EvalTrace(test_set, cfg, _Workspace(cfg.arch))
     transmissions = 0
     for iteration in range(1, cfg.max_iterations + 1):
         shard = shards[holder]
         idx, counts = draw_minibatch(shard, cfg.batch_size, rng)
-        _, grad = loss_and_grad(params, shard.features[idx], shard.labels[idx])
-        params = sgd_step(params, grad, cfg.learning_rate)
+        _, grad = loss_and_grad(params, shard.features[idx], shard.labels[idx],
+                                workspace=workspace)
+        sgd_step(params, grad, cfg.learning_rate, workspace=workspace)
         state = update_ledger(state, counts)
         if iteration % cfg.interval == 0:
             if policy.kind == "dynamic":
@@ -212,7 +227,9 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     Every node keeps its own model (all initialized from the shared seed).
     Per round each node takes one SGD step on a local minibatch, then all
     models are replaced by their unweighted average. The evaluated model is
-    that round average; its holder is recorded as -1.
+    that round average; its holder is recorded as -1. After a round every
+    node aliases the one averaged model, so steps return new models; the
+    gradients and the evaluations share one workspace.
     """
     shards = sorted(shards, key=lambda s: s.node_id)
     num_nodes = len(shards)
@@ -229,13 +246,18 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     if cfg.count_exchanges_once:
         per_round //= 2
 
-    trace = _EvalTrace(test_set, cfg)
+    # One workspace: its test-set buffers are dropped when the next round's
+    # batches resize it, so they are not held through the averaging, whose
+    # stacked models dominate peak memory.
+    workspace = _Workspace(cfg.arch)
+    trace = _EvalTrace(test_set, cfg, workspace)
     transmissions = 0
     averaged = shared
     for round_num in range(1, cfg.max_iterations + 1):
         for i, shard in enumerate(shards):
             idx, _ = draw_minibatch(shard, cfg.batch_size, rng)
-            _, grad = loss_and_grad(models[i], shard.features[idx], shard.labels[idx])
+            _, grad = loss_and_grad(models[i], shard.features[idx], shard.labels[idx],
+                                    workspace=workspace)
             models[i] = sgd_step(models[i], grad, cfg.learning_rate)
         averaged = average_params(models, [1.0] * num_nodes)
         models = [averaged] * num_nodes

@@ -15,7 +15,7 @@ from tramfl import (
     loss_and_grad,
     sgd_step,
 )
-from tramfl.learner import _views
+from tramfl.learner import _views, _Workspace
 
 
 def _random_batch(rng, dims, num_classes, size):
@@ -185,8 +185,38 @@ def test_sgd_layout_mismatch():
 def test_sgd_does_not_mutate_input():
     params = init_he(ArchSpec((3, 2)), 4)
     before = params.values.copy()
-    sgd_step(params, np.ones_like(params.values), 0.1)
+    stepped = sgd_step(params, np.ones_like(params.values), 0.1)
     assert np.array_equal(params.values, before)
+    assert stepped is not params and stepped.values is not params.values
+
+
+def test_sgd_with_workspace_updates_in_place():
+    params = init_he(ArchSpec((3, 2)), 4)
+    grad = np.linspace(-1.0, 1.0, params.values.size)
+    want = sgd_step(params, grad, 0.1).values
+    values = params.values
+    assert sgd_step(params, grad, 0.1, workspace=_Workspace(params.arch)) is params
+    assert params.values is values and values.tobytes() == want.tobytes()
+
+
+def test_workspace_gradient_is_overwritten_by_next_call():
+    rng = np.random.default_rng(5)
+    params = init_he(ArchSpec((4, 6, 3)), 2)
+    first, second = _random_batch(rng, 4, 3, 5), _random_batch(rng, 4, 3, 7)
+    workspace = _Workspace(params.arch)
+    _, grad = loss_and_grad(params, *first, workspace=workspace)
+    kept = grad.copy()
+    _, again = loss_and_grad(params, *second, workspace=workspace)
+    assert again is grad
+    assert grad.tobytes() == loss_and_grad(params, *second)[1].tobytes()
+    assert grad.tobytes() != kept.tobytes()
+
+
+def test_workspace_rejects_another_architecture():
+    workspace = _Workspace(ArchSpec((3, 2)))
+    with pytest.raises(ValueError):
+        loss_and_grad(_zero_params(ArchSpec((3, 4))), np.ones((1, 3)), np.array([0]),
+                      workspace=workspace)
 
 
 def test_sgd_decreases_loss_with_small_enough_eta():
@@ -384,16 +414,37 @@ def numeric_cases(draw):
     return params, features, labels
 
 
-@settings(max_examples=300, deadline=None)
-@given(numeric_cases())
-def test_numeric_core_matches_oracle_bit_for_bit(case):
-    params, features, labels = case
+def _assert_matches_oracle(params, features, labels, workspace=None):
+    """Evaluate, loss and gradient, and an SGD step (in place with a
+    workspace) against the oracle, byte for byte."""
     ds = LabeledDataset(features, labels, params.arch.layer_sizes[-1], params.arch.layer_sizes[0])
     with np.errstate(all="ignore"):
-        got_eval, want_eval = evaluate(params, ds), oracle_evaluate(params, ds)
-        got_loss, got_grad = loss_and_grad(params, features, labels)
+        got_eval = evaluate(params, ds, workspace=workspace)
+        want_eval = oracle_evaluate(params, ds)
+        got_loss, got_grad = loss_and_grad(params, features, labels, workspace=workspace)
         want_loss, want_grad = oracle_loss_and_grad(params, features, labels)
+        stepped = ModelParams(params.arch, params.values.copy())
+        stepped = sgd_step(stepped, got_grad, 0.05, workspace=workspace)
+        want_step = params.values - 0.05 * want_grad
     assert [type(v) for v in got_eval] == [float, float]
     assert repr(got_eval) == repr(want_eval)
     assert type(got_loss) is float and repr(got_loss) == repr(want_loss)
     assert got_grad.tobytes() == want_grad.tobytes()
+    assert stepped.values.tobytes() == want_step.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_cases(), st.integers(min_value=1, max_value=600))
+def test_numeric_core_matches_oracle_bit_for_bit(case, other_rows):
+    params, features, labels = case
+    _assert_matches_oracle(params, features, labels)
+    # One workspace, first on other params and a batch of another row count,
+    # so that stale views or buffers would show in the second call.
+    rows = len(labels)
+    if other_rows == rows:
+        other_rows = rows % 600 + 1
+    pick = np.arange(other_rows)[::-1] % rows
+    other = ModelParams(params.arch, params.values[::-1] + 1.0)
+    workspace = _Workspace(params.arch)
+    _assert_matches_oracle(other, features[pick], labels[pick], workspace)
+    _assert_matches_oracle(params, features, labels, workspace)

@@ -22,6 +22,7 @@ from tramfl import (
     RunConfig,
     expected_usage,
     generate_synthetic_split,
+    run_gossip,
     run_tram_fl,
 )
 from tramfl.cli import make_shards, parse_config, run_experiment
@@ -71,9 +72,9 @@ def _recording(monkeypatch, name):
     calls = []
     inner = getattr(tramfl.simulator, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(tramfl.simulator, name, wrapper)
     return calls
@@ -103,3 +104,28 @@ def test_router_arguments_as_the_benchmark_reads_them(monkeypatch):
     statics = _recording(monkeypatch, "next_static")
     run_tram_fl(shards, test, replace(cfg, policy=PolicySpec("static", (0, 1, 2, 3))))
     assert len(statics) == 6
+
+
+def test_learner_arguments_as_the_benchmark_reads_them(monkeypatch):
+    """``Counters`` in ``perfbench/run.py`` reads ``args[0].arch`` and
+    ``len(args[1])`` of ``loss_and_grad`` (batch rows) and of ``evaluate``
+    (test rows), and ``len(args[0])`` of ``average_params``; its step counts
+    assume one ``loss_and_grad`` call per SGD step."""
+    cfg = RunConfig(arch=ArchSpec((8, 16, 10)), learning_rate=0.05, batch_size=4,
+                    interval=2, max_iterations=12, eval_every=3,
+                    policy=PolicySpec("dynamic"))
+    train, test = generate_synthetic_split(10, 8, 20, 5, 4.0, 1)
+    shards = make_shards(train, PartitionPlan("random_k", 4, k_min=1, k_max=3, seed=1))
+    gossip_cfg = replace(cfg, max_iterations=3, eval_every=1, policy=PolicySpec("gossip"))
+    for run, run_cfg, steps in ((run_tram_fl, cfg, 12), (run_gossip, gossip_cfg, 3 * len(shards))):
+        calls = {name: _recording(monkeypatch, name)
+                 for name in ("loss_and_grad", "sgd_step", "evaluate", "average_params")}
+        run(shards, test, run_cfg)
+        assert len(calls["loss_and_grad"]) == len(calls["sgd_step"]) == steps
+        assert calls["evaluate"]
+        for name in ("loss_and_grad", "sgd_step", "evaluate"):
+            assert all(args[0].arch == cfg.arch for args in calls[name])
+        assert all(len(args[1]) == cfg.batch_size for args in calls["loss_and_grad"])
+        assert all(len(args[1]) == len(test) for args in calls["evaluate"])
+        rounds = 3 if run is run_gossip else 0
+        assert [len(args[0]) for args in calls["average_params"]] == [len(shards)] * rounds

@@ -66,8 +66,8 @@ def test_record_fields_are_exact_builtin_types(small_task, monkeypatch, numpy_sc
     # The CSV writes repr() of each field, and repr(np.float64(x)) is not repr(x).
     if numpy_scalars:
         real = simulator.evaluate
-        monkeypatch.setattr(simulator, "evaluate",
-                            lambda params, ds: tuple(np.float64(v) for v in real(params, ds)))
+        monkeypatch.setattr(simulator, "evaluate", lambda params, ds, **kwargs: tuple(
+            np.float64(v) for v in real(params, ds, **kwargs)))
     train, test = small_task
     shards = split_contiguous_labels(train, 2)
     results = [run_tram_fl(shards, test, _cfg(max_iterations=6)),
@@ -137,6 +137,26 @@ def test_run_is_bit_deterministic(small_task):
     assert a.records == b.records
     c = run_tram_fl(shards, test, _cfg(max_iterations=30, seed=4))
     assert c.final_params_digest != a.final_params_digest
+
+
+@pytest.mark.parametrize("first", ["tram", "gossip"])
+def test_no_state_leaks_between_trials(small_task, first):
+    # Each trial trains in its own workspace, so a trial run again after
+    # another one (other policy, net and batch size) repeats exactly.
+    train, test = small_task
+    shards = split_contiguous_labels(train, 2)
+
+    def tram():
+        return run_tram_fl(shards, test, _cfg(max_iterations=15, interval=2))
+
+    def gossip():
+        return run_gossip(shards, test, _cfg(arch=ArchSpec((4, 6, 5, 4)), batch_size=3,
+                                             max_iterations=6, policy=PolicySpec("gossip")))
+
+    a, b = (tram, gossip) if first == "tram" else (gossip, tram)
+    before, _, after = a(), b(), a()
+    assert after.final_params_digest == before.final_params_digest
+    assert after.records == before.records
 
 
 def test_ledger_accounts_every_batch(small_task):
