@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -181,8 +182,7 @@ def test_exponential_needs_two_classes():
         parse_config_text(text)
 
 
-def test_table_scheme_parses_counts():
-    text = """
+TABLE_TEXT = """
 [dataset]
 kind = csv
 train = train.csv
@@ -204,7 +204,10 @@ iterations = 10
 [policies]
 dynamic = dynamic
 """
-    cfg = parse_config_text(text)
+
+
+def test_table_scheme_parses_counts():
+    cfg = parse_config_text(TABLE_TEXT)
     assert cfg.partition.counts == ((10125, 2625), (2000, 4750), (375, 5125))
     assert parse_config_text(format_config(cfg)) == cfg
 
@@ -256,3 +259,219 @@ dynamic = dynamic
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "nope.cfg")
+
+
+# Pins of the config module's observable behaviour: the canonical text
+# format_config writes, and the exact message of each single-fault config.
+
+CSV_TEXT = """
+[dataset]
+kind = csv
+train = train.csv
+test = test.csv
+header = true
+seed = 5
+
+[partition]
+scheme = contiguous
+nodes = 2
+seed = 3
+
+[learner]
+layers = 3,2
+eta = 0.1
+batch = 4
+
+[run]
+iterations = 5
+target_accuracy = 0.5
+
+[policies]
+dynamic = dynamic
+ring = static:1,0
+"""
+
+CONTIGUOUS_TEXT = FULL_TEXT.replace(
+    "scheme = random_k\nnodes = 3\nk_min = 1\nk_max = 2\nseed = 2", "scheme = contiguous\nnodes = 3"
+)
+
+FORMAT_SHA256 = {
+    "gossip_vs_tram.cfg": "9a9e12a7cf51b1db4dd5ff45b9f37d8bdcd74a14cfe965f050ec78a81aadf109",
+    "quickstart.cfg": "479d8f4665c5b6edf2c130e788607fde83f0dc861a80301f28b0f6e37940d371",
+    "route_sweep.cfg": "426540c67cd80f568b4a5c6d7ace2c6a367e28326a39ae10b589bbde3f125f46",
+    "FULL_TEXT": "58bee024494cdbc3d854313c3d3dafada868fa3b54ff1ae3e239dd82617eadad",
+    "EXPONENTIAL_TEXT": "751f832703cef9ae5a7affa1bf1903dbb4d26de5cf256b4aba4c9577e72d1006",
+    "TABLE_TEXT": "757b0123e9d717eee3d1229e3a85f737d9d2b278f00d0cc268b5c53c210b593d",
+    "CSV_TEXT": "fe2c7ee03f4c2bc3ecb70aa7485168e83c7936769a51c4a9a013248d91bebc64",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_SHA256))
+def test_format_config_bytes_pinned(name):
+    if name.endswith(".cfg"):
+        text = (CONFIGS / name).read_text()
+    else:
+        text = globals()[name]
+    formatted = format_config(parse_config_text(text))
+    assert hashlib.sha256(formatted.encode()).hexdigest() == FORMAT_SHA256[name]
+
+
+# (id, base text, old, new, exact message); old must occur in the base text.
+SINGLE_FAULTS = [
+    # unknown key or section
+    ("unknown_key", FULL_TEXT, "nodes = 3\n", "nodes = 3\nflavor = spicy\n",
+     "partition.flavor: unknown key"),
+    ("unknown_dataset_key", FULL_TEXT, "dims = 4\n", "dims = 4\ncolour = red\n",
+     "dataset.colour: unknown key"),
+    ("unknown_run_key", FULL_TEXT, "trials = 2\n", "trials = 2\nbudget = 9\n",
+     "run.budget: unknown key"),
+    ("unknown_section", FULL_TEXT, "[policies]", "[extras]\nx = 1\n\n[policies]",
+     "unknown section [extras]"),
+    ("missing_section", FULL_TEXT, "[learner]\nlayers = 4,16,4\neta = 0.05\nbatch = 8\n", "",
+     "missing section [learner]"),
+    ("missing_policies", FULL_TEXT, "[policies]\ndynamic = dynamic\nrandom = random\n"
+     "ring = static:0,1,2\ngossip = gossip\n", "", "missing section [policies]"),
+    ("empty_policies", FULL_TEXT, "dynamic = dynamic\nrandom = random\n"
+     "ring = static:0,1,2\ngossip = gossip\n", "", "policies: at least one policy is required"),
+    # missing required key
+    ("missing_kind", FULL_TEXT, "kind = synthetic\n", "", "dataset.kind: missing required key"),
+    ("missing_scheme", FULL_TEXT, "scheme = random_k\n", "",
+     "partition.scheme: missing required key"),
+    ("missing_nodes", FULL_TEXT, "nodes = 3\n", "", "partition.nodes: missing required key"),
+    ("missing_layers", FULL_TEXT, "layers = 4,16,4\n", "", "learner.layers: missing required key"),
+    ("missing_eta", FULL_TEXT, "eta = 0.05\n", "", "learner.eta: missing required key"),
+    ("missing_batch", FULL_TEXT, "batch = 8\n", "", "learner.batch: missing required key"),
+    ("missing_iterations", FULL_TEXT, "iterations = 300\n", "",
+     "run.iterations: missing required key"),
+    ("missing_classes", FULL_TEXT, "classes = 4\n", "", "dataset.classes: missing required key"),
+    ("missing_dims", FULL_TEXT, "dims = 4\n", "", "dataset.dims: missing required key"),
+    ("missing_per_class", FULL_TEXT, "per_class = 40\n", "",
+     "dataset.per_class: missing required key"),
+    ("missing_separation", FULL_TEXT, "separation = 3.0\n", "",
+     "dataset.separation: missing required key"),
+    ("missing_k_min", FULL_TEXT, "k_min = 1\n", "", "partition.k_min: missing required key"),
+    ("missing_k_max", FULL_TEXT, "k_max = 2\n", "", "partition.k_max: missing required key"),
+    ("missing_rate", EXPONENTIAL_TEXT, "rate = 1.0\n", "", "partition.rate: missing required key"),
+    ("missing_counts", TABLE_TEXT, "counts = 10125,2625; 2000,4750; 375,5125\n", "",
+     "partition.counts: missing required key"),
+    ("missing_train", CSV_TEXT, "train = train.csv\n", "", "dataset.train: missing required key"),
+    ("missing_test", CSV_TEXT, "test = test.csv\n", "", "dataset.test: missing required key"),
+    # key not valid for this kind or scheme
+    ("train_for_synthetic", FULL_TEXT, "dims = 4\n", "dims = 4\ntrain = a.csv\n",
+     "dataset.train: not valid for kind=synthetic"),
+    ("test_for_synthetic", FULL_TEXT, "dims = 4\n", "dims = 4\ntest = a.csv\n",
+     "dataset.test: not valid for kind=synthetic"),
+    ("header_for_synthetic", FULL_TEXT, "dims = 4\n", "dims = 4\nheader = false\n",
+     "dataset.header: not valid for kind=synthetic"),
+    ("classes_for_csv", CSV_TEXT, "header = true\n", "header = true\nclasses = 2\n",
+     "dataset.classes: not valid for kind=csv"),
+    ("test_per_class_for_csv", CSV_TEXT, "header = true\n", "header = true\ntest_per_class = 2\n",
+     "dataset.test_per_class: not valid for kind=csv"),
+    ("separation_for_csv", CSV_TEXT, "header = true\n", "header = true\nseparation = 2.0\n",
+     "dataset.separation: not valid for kind=csv"),
+    ("rate_for_random_k", FULL_TEXT, "k_max = 2\n", "k_max = 2\nrate = 1.0\n",
+     "partition.rate: not valid for scheme=random_k"),
+    ("k_max_for_contiguous", CONTIGUOUS_TEXT, "nodes = 3\n", "nodes = 3\nk_max = 2\n",
+     "partition.k_max: not valid for scheme=contiguous"),
+    ("counts_for_exponential", EXPONENTIAL_TEXT, "rate = 1.0\n", "rate = 1.0\ncounts = 1,2\n",
+     "partition.counts: not valid for scheme=exponential"),
+    ("k_min_for_table", TABLE_TEXT, "nodes = 3\n", "nodes = 3\nk_min = 1\n",
+     "partition.k_min: not valid for scheme=table"),
+    # bad type
+    ("int_type", FULL_TEXT, "iterations = 300", "iterations = soon",
+     "run.iterations: expected an integer, got 'soon'"),
+    ("seed_type", FULL_TEXT, "seed = 11", "seed = one", "run.seed: expected an integer, got 'one'"),
+    ("float_type", FULL_TEXT, "eta = 0.05", "eta = fast", "learner.eta: expected a number, got 'fast'"),
+    ("float_finite", FULL_TEXT, "eta = 0.05", "eta = nan",
+     "learner.eta: expected a finite number, got 'nan'"),
+    ("bool_type", CSV_TEXT, "header = true", "header = maybe",
+     "dataset.header: expected true or false, got 'maybe'"),
+    ("int_list_type", FULL_TEXT, "layers = 4,16,4", "layers = 4,x,4",
+     "learner.layers: expected comma-separated integers, got '4,x,4'"),
+    ("count_table_type", TABLE_TEXT, "375,5125", "375,x",
+     "partition.counts: expected comma-separated integers, got '375,x'"),
+    ("empty_str", CSV_TEXT, "train = train.csv", "train =", "dataset.train: value must not be empty"),
+    # range checks
+    ("kind_value", CSV_TEXT, "kind = csv", "kind = image",
+     "dataset.kind: expected one of ('synthetic', 'csv'), got 'image'"),
+    ("classes_range", FULL_TEXT.replace("k_max = 2", "k_max = 1").replace("4,16,4", "4,16,1"),
+     "classes = 4", "classes = 1", "dataset.classes: must be >= 2, got 1"),
+    ("dims_range", FULL_TEXT, "dims = 4", "dims = 0", "dataset.dims: must be >= 1, got 0"),
+    ("per_class_range", FULL_TEXT, "per_class = 40", "per_class = 0",
+     "dataset.per_class/test_per_class: must be >= 1"),
+    ("test_per_class_range", FULL_TEXT, "test_per_class = 20", "test_per_class = 0",
+     "dataset.per_class/test_per_class: must be >= 1"),
+    ("separation_range", FULL_TEXT, "separation = 3.0", "separation = -1.5",
+     "dataset.separation: must be > 0, got -1.5"),
+    ("scheme_value", CONTIGUOUS_TEXT, "scheme = contiguous", "scheme = zigzag",
+     "partition.scheme: expected one of ('contiguous', 'random_k', 'exponential', 'table'), "
+     "got 'zigzag'"),
+    ("nodes_range", CONTIGUOUS_TEXT, "nodes = 3", "nodes = 1", "partition.nodes: must be >= 2, got 1"),
+    ("k_min_range", FULL_TEXT, "k_min = 1", "k_min = 0",
+     "partition.k_min: need 1 <= k_min <= k_max, got [0, 2]"),
+    ("k_min_above_k_max", FULL_TEXT, "k_min = 1", "k_min = 3",
+     "partition.k_min: need 1 <= k_min <= k_max, got [3, 2]"),
+    ("rate_range", EXPONENTIAL_TEXT, "rate = 1.0", "rate = 0",
+     "partition.rate: must be > 0, got 0.0"),
+    ("counts_rows", TABLE_TEXT, "; 375,5125", "", "partition.counts: 2 rows for 3 nodes"),
+    ("counts_row_width", TABLE_TEXT, "375,5125", "375,5125,1",
+     "partition.counts: each row must be two nonnegative ints, got (375, 5125, 1)"),
+    ("counts_negative", TABLE_TEXT, "375,5125", "-375,5125",
+     "partition.counts: each row must be two nonnegative ints, got (-375, 5125)"),
+    ("contiguous_nodes_fit", CONTIGUOUS_TEXT, "nodes = 3", "nodes = 5",
+     "partition.nodes: 5 exceeds 4 labels"),
+    ("k_max_fit", FULL_TEXT, "k_max = 2", "k_max = 5", "partition.k_max: exceeds 4 classes"),
+    ("k_max_coverage", FULL_TEXT, "k_max = 2", "k_max = 1",
+     "partition.k_max: coverage unattainable, 3 x 1 < 4"),
+    ("two_class_scheme", FULL_TEXT, "scheme = random_k\nnodes = 3\nk_min = 1\nk_max = 2",
+     "scheme = exponential\nnodes = 3\nrate = 1.0",
+     "partition.scheme: exponential needs a 2-class dataset, got 4"),
+    ("table_counts_fit", EXPONENTIAL_TEXT, "scheme = exponential\nnodes = 3\nrate = 1.0",
+     "scheme = table\nnodes = 3\ncounts = 50,0; 0,5; 0,5",
+     "partition.counts: the nodes ask for 50 samples of class 0, the training set holds 40"),
+    ("layers_short", FULL_TEXT.replace("classes = 4", "classes = 2"), "layers = 4,16,4", "layers = 4",
+     "learner.layers: need >= 2 positive sizes, got (4,)"),
+    ("layers_zero", FULL_TEXT, "layers = 4,16,4", "layers = 4,0,4",
+     "learner.layers: need >= 2 positive sizes, got (4, 0, 4)"),
+    ("layers_first", FULL_TEXT, "layers = 4,16,4", "layers = 5,16,4",
+     "learner.layers: first size 5 != dataset.dims 4"),
+    ("layers_last", FULL_TEXT, "layers = 4,16,4", "layers = 4,16,5",
+     "learner.layers: last size 5 != dataset.classes 4"),
+    ("eta_range", FULL_TEXT, "eta = 0.05", "eta = -0.05", "learner.eta: must be > 0, got -0.05"),
+    ("batch_range", FULL_TEXT, "batch = 8", "batch = 0", "learner.batch: must be >= 1, got 0"),
+    ("iterations_range", FULL_TEXT, "iterations = 300", "iterations = 0",
+     "run.iterations/interval/eval_every/trials: must be >= 1"),
+    ("interval_range", FULL_TEXT, "interval = 2", "interval = 0",
+     "run.iterations/interval/eval_every/trials: must be >= 1"),
+    ("eval_every_range", FULL_TEXT, "eval_every = 1", "eval_every = 0",
+     "run.iterations/interval/eval_every/trials: must be >= 1"),
+    ("trials_range", FULL_TEXT, "trials = 2", "trials = 0",
+     "run.iterations/interval/eval_every/trials: must be >= 1"),
+    ("target_range", FULL_TEXT, "target_accuracy = 0.9", "target_accuracy = 0",
+     "run.target_accuracy: must be in (0, 1], got 0.0"),
+    ("policy_label", FULL_TEXT, "random = random", "ran.dom = random",
+     "policies.ran.dom: label must match [A-Za-z0-9_-]+"),
+    ("policy_kind", FULL_TEXT, "random = random", "random = clairvoyant",
+     "policies.random: expected dynamic, random, gossip, static:<route>, or static:all, "
+     "got 'clairvoyant'"),
+    ("route_type", FULL_TEXT, "static:0,1,2", "static:0,1,x",
+     "policies.ring: expected comma-separated node indices, got '0,1,x'"),
+    ("route_empty", FULL_TEXT, "static:0,1,2", "static:",
+     "policies.ring: expected comma-separated node indices, got ''"),
+    ("route_permutation", FULL_TEXT, "static:0,1,2", "static:0,1,1",
+     "policies.ring: route '0,1,1' is not a permutation of 0..2"),
+    ("duplicate_label", FULL_TEXT, "random = random", "ring = random",
+     "malformed config: While reading from '<string>' [line 34]: option 'ring' in section "
+     "'policies' already exists"),
+    ("duplicate_expanded_label", FULL_TEXT.replace("static:0,1,2", "static:all"),
+     "random = random", "ring_02 = random", "policies.ring_02: duplicate policy label"),
+]
+
+
+@pytest.mark.parametrize("base, old, new, message",
+                         [case[1:] for case in SINGLE_FAULTS], ids=[case[0] for case in SINGLE_FAULTS])
+def test_single_fault_message_pinned(base, old, new, message):
+    assert old in base
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(base.replace(old, new, 1))
+    assert str(info.value) == message
