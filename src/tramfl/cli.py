@@ -3,9 +3,14 @@
 ``tramfl run <config> --out <dir>`` builds the dataset and partition, runs
 every configured policy for the configured number of trials, writes one
 ``results_<label>.csv`` per policy plus a ``summary.json``, and prints a
-comparison table ordered by mean transmissions-to-target.
+comparison table ordered by mean transmissions-to-target. A trial whose test
+loss stops being finite ends there as diverged and gets a warning on stderr;
+then the run also writes ``status.json``, the per-policy counts of trial
+statuses. A run with no diverged trial writes no ``status.json``, so its
+outputs are the same files as before the status existed.
 
-Exit codes: 0 success, 2 config error, 3 runtime/simulation error.
+Exit codes: 0 success (every number written is finite), 2 config error,
+3 runtime/simulation error or a diverged trial (after all outputs are written).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .datasets import LabeledDataset, generate_synthetic_split, load_csv
 from .errors import ParseError, StateError
 from .learner import ModelParams
 from .partition import make_shards
-from .simulator import TrialsSummary, run_trials
+from .simulator import TRIAL_STATUSES, TrialsSummary, run_trials
 
 CSV_COLUMNS = "trial,iteration,transmissions,holder,test_loss,test_accuracy"
 
@@ -73,6 +78,12 @@ def _write_results_csv(path, summary: TrialsSummary) -> None:
                 )
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def _write_checkpoint(params: ModelParams, path) -> None:
     """Flat little-endian float64 values prefixed by [n_layers, sizes...] as int64."""
     sizes = params.arch.layer_sizes
@@ -97,7 +108,10 @@ def run_experiment(
     dump_model: str | None = None,
     count_exchanges_once: bool = False,
 ) -> int:
-    """Run every configured policy and write CSVs, summary.json, and the table."""
+    """Run every configured policy and write CSVs, summary.json, and the table.
+
+    Returns 0, or 3 when a trial diverged; only then is status.json written
+    (a stale one from an earlier run into ``out_dir`` is removed)."""
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
     train, test = _build_datasets(cfg)
@@ -107,11 +121,20 @@ def run_experiment(
 
     summaries: list[tuple[str, TrialsSummary]] = []
     last_params = None
+    diverged = False
     for label, spec in cfg.policies:
-        summary = run_trials(shards, test, replace(base, policy=spec), num_trials=cfg.trials)
+        # A diverging trial is reported once, below, not by numpy's overflow warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            summary = run_trials(shards, test, replace(base, policy=spec), num_trials=cfg.trials)
         _write_results_csv(os.path.join(out_dir, f"results_{label}.csv"), summary)
         summaries.append((label, summary))
         last_params = summary.results[-1].final_params
+        for trial, result in enumerate(summary.results):
+            if result.status == "diverged":
+                diverged = True
+                rec = result.records[-1]
+                print(f"warning: {label} trial {trial} diverged: test loss {rec.test_loss!r} "
+                      f"at transmission {rec.transmissions}", file=sys.stderr)
 
     payload = {
         label: {
@@ -123,15 +146,21 @@ def run_experiment(
         }
         for label, s in summaries
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_json(os.path.join(out_dir, "summary.json"), payload)
+    status_path = os.path.join(out_dir, "status.json")
+    if diverged:
+        _write_json(status_path, {
+            label: {name: sum(r.status == name for r in s.results) for name in TRIAL_STATUSES}
+            for label, s in summaries
+        })
+    elif os.path.exists(status_path):
+        os.remove(status_path)
 
     ordered = sorted(summaries, key=lambda row: (row[1].mean is None, row[1].mean))
     _print_table(ordered)
     if dump_model is not None:
         _write_checkpoint(last_params, dump_model)
-    return 0
+    return 3 if diverged else 0
 
 
 def main(argv=None) -> int:

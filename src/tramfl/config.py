@@ -23,8 +23,6 @@ from .routing import enumerate_static_routes
 from .simulator import PolicySpec, RunConfig
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
-_DATASET_KINDS = ("synthetic", "csv")
-_PARTITION_SCHEMES = ("contiguous", "random_k", "exponential", "table")
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,13 @@ def _parse_int(path, raw):
         raise ConfigError(f"{path}: expected an integer, got {raw!r}") from None
 
 
+def _parse_nonneg_int(path, raw):
+    value = _parse_int(path, raw)
+    if value < 0:
+        raise ConfigError(f"{path}: must be >= 0, got {value}")
+    return value
+
+
 def _parse_float(path, raw):
     try:
         value = float(raw)
@@ -86,10 +91,7 @@ def _parse_int_list(path, raw):
 
 
 def _parse_count_table(path, raw):
-    rows = []
-    for chunk in raw.split(";"):
-        rows.append(_parse_int_list(path, chunk.strip()))
-    return tuple(rows)
+    return tuple(_parse_int_list(path, chunk.strip()) for chunk in raw.split(";"))
 
 
 def _parse_str(path, raw):
@@ -98,28 +100,32 @@ def _parse_str(path, raw):
     return raw.strip()
 
 
-# key -> (parser, required)
+# Every section's keys in canonical order, as key -> (parser, rule). The rule
+# is True for a required key, False for an optional one, or {variant: required}
+# for a key that only those variants take. _VARIANTS names the key whose value
+# is a section's variant and lists its values. _take_section and format_config
+# both walk this table.
 _SCHEMAS = {
     "dataset": {
         "kind": (_parse_str, True),
-        "classes": (_parse_int, False),
-        "dims": (_parse_int, False),
-        "per_class": (_parse_int, False),
-        "test_per_class": (_parse_int, False),
-        "separation": (_parse_float, False),
-        "seed": (_parse_int, False),
-        "train": (_parse_str, False),
-        "test": (_parse_str, False),
-        "header": (_parse_bool, False),
+        "classes": (_parse_int, {"synthetic": True}),
+        "dims": (_parse_int, {"synthetic": True}),
+        "per_class": (_parse_int, {"synthetic": True}),
+        "test_per_class": (_parse_int, {"synthetic": False}),
+        "separation": (_parse_float, {"synthetic": True}),
+        "train": (_parse_str, {"csv": True}),
+        "test": (_parse_str, {"csv": True}),
+        "header": (_parse_bool, {"csv": False}),
+        "seed": (_parse_nonneg_int, False),
     },
     "partition": {
         "scheme": (_parse_str, True),
         "nodes": (_parse_int, True),
-        "k_min": (_parse_int, False),
-        "k_max": (_parse_int, False),
-        "rate": (_parse_float, False),
-        "counts": (_parse_count_table, False),
-        "seed": (_parse_int, False),
+        "k_min": (_parse_int, {"random_k": True}),
+        "k_max": (_parse_int, {"random_k": True}),
+        "rate": (_parse_float, {"exponential": True}),
+        "counts": (_parse_count_table, {"table": True}),
+        "seed": (_parse_nonneg_int, False),
     },
     "learner": {
         "layers": (_parse_int_list, True),
@@ -132,9 +138,17 @@ _SCHEMAS = {
         "eval_every": (_parse_int, False),
         "target_accuracy": (_parse_float, False),
         "trials": (_parse_int, False),
-        "seed": (_parse_int, False),
+        "seed": (_parse_nonneg_int, False),
     },
 }
+_VARIANTS = {
+    "dataset": ("kind", ("synthetic", "csv")),
+    "partition": ("scheme", ("contiguous", "random_k", "exponential", "table")),
+}
+
+
+def _applies(rule, variant) -> bool:
+    return not isinstance(rule, dict) or variant in rule
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -148,109 +162,60 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
 
 
 def _take_section(raw_sections, name) -> dict:
+    """Parse one section by its schema. Unknown keys, missing required keys
+    and keys the section's variant does not take are errors."""
     if name not in raw_sections:
         raise ConfigError(f"missing section [{name}]")
-    schema = _SCHEMAS[name]
-    raw = raw_sections[name]
+    schema, raw = _SCHEMAS[name], raw_sections[name]
     for key in raw:
         if key not in schema:
             raise ConfigError(f"{name}.{key}: unknown key")
     parsed = {}
-    for key, (fn, required) in schema.items():
+    for key, (fn, rule) in schema.items():
         if key in raw:
             parsed[key] = fn(f"{name}.{key}", raw[key])
-        elif required:
+        elif rule is True:
+            raise ConfigError(f"{name}.{key}: missing required key")
+    variant_key, variants = _VARIANTS.get(name, (None, ()))
+    variant = parsed.get(variant_key)
+    if variants and variant not in variants:
+        raise ConfigError(f"{name}.{variant_key}: expected one of {variants}, got {variant!r}")
+    for key, (_, rule) in schema.items():
+        if key in parsed and not _applies(rule, variant):
+            raise ConfigError(f"{name}.{key}: not valid for {variant_key}={variant}")
+        if key not in parsed and isinstance(rule, dict) and rule.get(variant):
             raise ConfigError(f"{name}.{key}: missing required key")
     return parsed
 
 
-def _require(section, parsed, key):
-    if key not in parsed:
-        raise ConfigError(f"{section}.{key}: missing required key")
-    return parsed[key]
-
-
 def _build_dataset(parsed) -> DatasetSection:
-    kind = parsed["kind"]
-    if kind not in _DATASET_KINDS:
-        raise ConfigError(f"dataset.kind: expected one of {_DATASET_KINDS}, got {kind!r}")
-    if kind == "synthetic":
-        classes = _require("dataset", parsed, "classes")
-        dims = _require("dataset", parsed, "dims")
-        per_class = _require("dataset", parsed, "per_class")
-        separation = _require("dataset", parsed, "separation")
-        test_per_class = parsed.get("test_per_class", per_class)
-        if classes < 2:
-            raise ConfigError(f"dataset.classes: must be >= 2, got {classes}")
-        if dims < 1:
-            raise ConfigError(f"dataset.dims: must be >= 1, got {dims}")
-        if per_class < 1 or test_per_class < 1:
+    if parsed["kind"] == "synthetic":
+        parsed.setdefault("test_per_class", parsed["per_class"])
+        if parsed["classes"] < 2:
+            raise ConfigError(f"dataset.classes: must be >= 2, got {parsed['classes']}")
+        if parsed["dims"] < 1:
+            raise ConfigError(f"dataset.dims: must be >= 1, got {parsed['dims']}")
+        if parsed["per_class"] < 1 or parsed["test_per_class"] < 1:
             raise ConfigError("dataset.per_class/test_per_class: must be >= 1")
-        if not separation > 0:
-            raise ConfigError(f"dataset.separation: must be > 0, got {separation}")
-        for key in ("train", "test", "header"):
-            if key in parsed:
-                raise ConfigError(f"dataset.{key}: not valid for kind=synthetic")
-        return DatasetSection(
-            kind="synthetic",
-            classes=classes,
-            dims=dims,
-            per_class=per_class,
-            test_per_class=test_per_class,
-            separation=separation,
-            seed=parsed.get("seed", 0),
-        )
-    for key in ("classes", "dims", "per_class", "test_per_class", "separation"):
-        if key in parsed:
-            raise ConfigError(f"dataset.{key}: not valid for kind=csv")
-    return DatasetSection(
-        kind="csv",
-        train=_require("dataset", parsed, "train"),
-        test=_require("dataset", parsed, "test"),
-        header=parsed.get("header", False),
-        seed=parsed.get("seed", 0),
-    )
+        if not parsed["separation"] > 0:
+            raise ConfigError(f"dataset.separation: must be > 0, got {parsed['separation']}")
+    return DatasetSection(**parsed)
 
 
 def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
-    scheme = parsed["scheme"]
-    if scheme not in _PARTITION_SCHEMES:
-        raise ConfigError(f"partition.scheme: expected one of {_PARTITION_SCHEMES}, got {scheme!r}")
-    nodes = parsed["nodes"]
-    if nodes < 2:
-        raise ConfigError(f"partition.nodes: must be >= 2, got {nodes}")
-    allowed = {"scheme", "nodes", "seed"}
-    if scheme == "random_k":
-        allowed |= {"k_min", "k_max"}
-        k_min = _require("partition", parsed, "k_min")
-        k_max = _require("partition", parsed, "k_max")
-        if k_min < 1 or k_min > k_max:
-            raise ConfigError(f"partition.k_min: need 1 <= k_min <= k_max, got [{k_min}, {k_max}]")
-    elif scheme == "exponential":
-        allowed |= {"rate"}
-        rate = _require("partition", parsed, "rate")
-        if not rate > 0:
-            raise ConfigError(f"partition.rate: must be > 0, got {rate}")
-    elif scheme == "table":
-        allowed |= {"counts"}
-        counts = _require("partition", parsed, "counts")
-        if len(counts) != nodes:
-            raise ConfigError(f"partition.counts: {len(counts)} rows for {nodes} nodes")
-        for row in counts:
+    plan = PartitionPlan(**parsed)
+    if plan.nodes < 2:
+        raise ConfigError(f"partition.nodes: must be >= 2, got {plan.nodes}")
+    if plan.scheme == "random_k" and not 1 <= plan.k_min <= plan.k_max:
+        raise ConfigError(f"partition.k_min: need 1 <= k_min <= k_max, got [{plan.k_min}, {plan.k_max}]")
+    if plan.scheme == "exponential" and not plan.rate > 0:
+        raise ConfigError(f"partition.rate: must be > 0, got {plan.rate}")
+    if plan.scheme == "table":
+        if len(plan.counts) != plan.nodes:
+            raise ConfigError(f"partition.counts: {len(plan.counts)} rows for {plan.nodes} nodes")
+        for row in plan.counts:
             if len(row) != 2 or any(n < 0 for n in row):
                 raise ConfigError(f"partition.counts: each row must be two nonnegative ints, got {row}")
-    for key in parsed:
-        if key not in allowed:
-            raise ConfigError(f"partition.{key}: not valid for scheme={scheme}")
-    plan = PartitionPlan(
-        scheme=scheme,
-        nodes=nodes,
-        k_min=parsed.get("k_min"),
-        k_max=parsed.get("k_max"),
-        rate=parsed.get("rate"),
-        counts=parsed.get("counts"),
-        seed=parsed.get("seed", 0),
-    )
     if dataset.kind == "synthetic":
         _check_partition_fits(plan, [dataset.per_class] * dataset.classes)
     return plan
@@ -290,9 +255,7 @@ def _check_learner(parsed, dataset: DatasetSection) -> None:
         if layers[0] != dataset.dims:
             raise ConfigError(f"learner.layers: first size {layers[0]} != dataset.dims {dataset.dims}")
         if layers[-1] != dataset.classes:
-            raise ConfigError(
-                f"learner.layers: last size {layers[-1]} != dataset.classes {dataset.classes}"
-            )
+            raise ConfigError(f"learner.layers: last size {layers[-1]} != dataset.classes {dataset.classes}")
     if not parsed["eta"] > 0:
         raise ConfigError(f"learner.eta: must be > 0, got {parsed['eta']}")
     if parsed["batch"] < 1:
@@ -310,7 +273,7 @@ def _build_run(learner, parsed) -> tuple[RunConfig, int]:
         raise ConfigError("run.iterations/interval/eval_every/trials: must be >= 1")
     if target_accuracy is not None and not 0 < target_accuracy <= 1:
         raise ConfigError(f"run.target_accuracy: must be in (0, 1], got {target_accuracy}")
-    run = RunConfig(
+    return RunConfig(
         arch=ArchSpec(learner["layers"]),
         learning_rate=learner["eta"],
         batch_size=learner["batch"],
@@ -319,14 +282,12 @@ def _build_run(learner, parsed) -> tuple[RunConfig, int]:
         eval_every=eval_every,
         target_accuracy=target_accuracy,
         seed=parsed.get("seed", 0),
-    )
-    return run, trials
+    ), trials
 
 
 def _parse_route(path, raw, nodes):
-    parts = [p.strip() for p in raw.split(",")]
     try:
-        route = tuple(int(p) for p in parts)
+        route = tuple(int(p) for p in raw.split(","))
     except ValueError:
         raise ConfigError(f"{path}: expected comma-separated node indices, got {raw!r}") from None
     if sorted(route) != list(range(nodes)):
@@ -351,7 +312,11 @@ def _build_policies(raw_sections, nodes) -> tuple[tuple[str, PolicySpec], ...]:
         elif value.startswith("static:"):
             spec = value[len("static:"):].strip()
             if spec == "all":
-                for num, order in enumerate(enumerate_static_routes(nodes), start=1):
+                try:
+                    routes = enumerate_static_routes(nodes)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: {exc}") from None
+                for num, order in enumerate(routes, start=1):
                     policies.append((f"{label}_{num:02d}", PolicySpec("static", order)))
             else:
                 policies.append((label, PolicySpec("static", _parse_route(path, spec, nodes))))
@@ -397,53 +362,37 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):  # int lists join with ",", count-table rows with "; "
+        return ("; " if isinstance(value[0], tuple) else ",").join(_fmt(v) for v in value)
     return str(value)
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Emit canonical config text; parse_config_text(format_config(c)) == c."""
-    out = io.StringIO()
+    """Emit canonical config text; parse_config_text(format_config(c)) == c.
 
-    def section(name, pairs):
-        out.write(f"[{name}]\n")
-        for key, value in pairs:
-            if value is not None:
-                out.write(f"{key} = {_fmt(value)}\n")
-        out.write("\n")
-
-    d = cfg.dataset
-    if d.kind == "synthetic":
-        section("dataset", [
-            ("kind", d.kind), ("classes", d.classes), ("dims", d.dims),
-            ("per_class", d.per_class), ("test_per_class", d.test_per_class),
-            ("separation", d.separation), ("seed", d.seed),
-        ])
-    else:
-        section("dataset", [
-            ("kind", d.kind), ("train", d.train), ("test", d.test),
-            ("header", d.header), ("seed", d.seed),
-        ])
-    p = cfg.partition
-    counts = None
-    if p.counts is not None:
-        counts = "; ".join(",".join(str(n) for n in row) for row in p.counts)
-    section("partition", [
-        ("scheme", p.scheme), ("nodes", p.nodes), ("k_min", p.k_min),
-        ("k_max", p.k_max), ("rate", p.rate), ("counts", counts), ("seed", p.seed),
-    ])
+    Walks _SCHEMAS, writing each key its section's variant takes and whose
+    value is not None."""
     r = cfg.run
-    section("learner", [
-        ("layers", ",".join(str(n) for n in r.arch.layer_sizes)),
-        ("eta", r.learning_rate), ("batch", r.batch_size),
-    ])
-    section("run", [
-        ("iterations", r.max_iterations), ("interval", r.interval), ("eval_every", r.eval_every),
-        ("target_accuracy", r.target_accuracy), ("trials", cfg.trials), ("seed", r.seed),
-    ])
+    values = {
+        "dataset": vars(cfg.dataset),
+        "partition": vars(cfg.partition),
+        "learner": {"layers": r.arch.layer_sizes, "eta": r.learning_rate, "batch": r.batch_size},
+        "run": {
+            "iterations": r.max_iterations, "interval": r.interval, "eval_every": r.eval_every,
+            "target_accuracy": r.target_accuracy, "trials": cfg.trials, "seed": r.seed,
+        },
+    }
+    out = io.StringIO()
+    for name, schema in _SCHEMAS.items():
+        section = values[name]
+        variant = section.get(_VARIANTS[name][0]) if name in _VARIANTS else None
+        out.write(f"[{name}]\n")
+        for key, (_, rule) in schema.items():
+            if section[key] is not None and _applies(rule, variant):
+                out.write(f"{key} = {_fmt(section[key])}\n")
+        out.write("\n")
     out.write("[policies]\n")
     for label, spec in cfg.policies:
-        if spec.kind == "static":
-            out.write(f"{label} = static:{','.join(str(i) for i in spec.route)}\n")
-        else:
-            out.write(f"{label} = {spec.kind}\n")
+        value = f"static:{_fmt(spec.route)}" if spec.kind == "static" else spec.kind
+        out.write(f"{label} = {value}\n")
     return out.getvalue()

@@ -11,6 +11,7 @@ averaging round (halved when `count_exchanges_once` is set).
 from __future__ import annotations
 
 import hashlib
+import math
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -38,6 +39,7 @@ from .routing import (
 )
 
 POLICY_KINDS = ("dynamic", "static", "random", "gossip")
+TRIAL_STATUSES = ("reached", "budget_exhausted", "diverged")
 
 
 @dataclass(frozen=True)
@@ -98,12 +100,17 @@ class EvalRecord:
 
 @dataclass
 class TrialResult:
-    """Evaluation trace plus where (if ever) the target accuracy was hit."""
+    """Evaluation trace plus where (if ever) the target accuracy was hit.
+
+    ``status`` is one of TRIAL_STATUSES: the trial reached the target, used
+    up its iterations, or stopped at its first evaluation whose test loss
+    was not finite (its last record)."""
 
     records: list[EvalRecord]
     transmissions_to_target: int | None
     final_params_digest: str
     final_params: ModelParams = field(repr=False)
+    status: str
     ledger: LabelHistogram | None = None
 
 
@@ -121,9 +128,11 @@ class _EvalTrace:
     After each send the loop reports its counts; the trace evaluates the
     model whenever ``transmissions // eval_every`` enters a new bucket (for
     a traveling model, which sends one at a time, that is every
-    ``eval_every``-th transmission) and reports whether the target accuracy
-    was reached. :meth:`result` adds the terminal evaluation and builds the
-    :class:`TrialResult`. Evaluations run in the caller's ``workspace``.
+    ``eval_every``-th transmission) and reports whether the trial should
+    stop: the target accuracy was reached, or the test loss is not finite,
+    which marks the trial diverged. :meth:`result` adds the terminal
+    evaluation and builds the :class:`TrialResult`. Evaluations run in the
+    caller's ``workspace``.
     """
 
     def __init__(self, test_set, cfg: RunConfig, workspace: _Workspace):
@@ -132,10 +141,11 @@ class _EvalTrace:
         self.workspace = workspace
         self.records: list[EvalRecord] = []
         self.reached: int | None = None
+        self.diverged = False
         self.bucket = 0
 
     def after_send(self, iteration: int, transmissions: int, holder: int, params) -> bool:
-        """Evaluate on a bucket change; True once the target is reached."""
+        """Evaluate on a bucket change; True once the trial should stop."""
         bucket = transmissions // self.cfg.eval_every
         if bucket <= self.bucket:
             return False
@@ -147,18 +157,26 @@ class _EvalTrace:
         # Plain floats, so a numpy scalar never reaches the CSV's repr().
         accuracy, loss = float(accuracy), float(loss)
         self.records.append(EvalRecord(iteration, transmissions, holder, accuracy, loss))
+        if not math.isfinite(loss):
+            self.diverged = True
+            return True
         target = self.cfg.target_accuracy
         if target is not None and accuracy >= target:
             self.reached = transmissions
         return self.reached is not None
 
     def result(self, transmissions: int, holder: int, params, ledger=None) -> TrialResult:
-        """Evaluate at termination unless the target stopped the run or the
-        last send was already evaluated, then package the trial."""
+        """Evaluate at termination unless the last send was already
+        evaluated (as it is when the target or a non-finite loss stopped the
+        run), then package the trial."""
         evaluated = self.records and self.records[-1].transmissions == transmissions
-        if self.reached is None and not evaluated:
+        if not evaluated:
             self._evaluate(self.cfg.max_iterations, transmissions, holder, params)
-        return TrialResult(self.records, self.reached, params_digest(params), params, ledger=ledger)
+        if self.diverged:
+            status = "diverged"
+        else:
+            status = "budget_exhausted" if self.reached is None else "reached"
+        return TrialResult(self.records, self.reached, params_digest(params), params, status, ledger)
 
 
 def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:

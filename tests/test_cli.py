@@ -1,9 +1,16 @@
+import io
 import json
+import math
+import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tramfl import enumerate_static_routes, parse_config
 from tramfl.cli import main, run_experiment
@@ -279,6 +286,87 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+QUICKSTART = Path(__file__).parents[1] / "configs" / "quickstart.cfg"
+
+
+def _quickstart_with(tmp_path, section, key, value, iterations=20):
+    """The quickstart config with ``section.key = value``, written to a file."""
+    text = QUICKSTART.read_text().replace("iterations = 4000", f"iterations = {iterations}")
+    head, marker, rest = text.partition(f"[{section}]\n")
+    rest = re.sub(rf"^{key} = .*$", f"{key} = {value}", rest, count=1, flags=re.M)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(head + marker + rest)
+    return cfg_path
+
+
+@pytest.mark.parametrize("key, value", [("dataset.seed", -1), ("partition.seed", -2), ("run.seed", -3)])
+def test_negative_seed_is_config_error(tmp_path, capsys, key, value):
+    """These used to exit 3 with "error: expected non-negative integer"."""
+    cfg_path = _quickstart_with(tmp_path, *key.split("."), value)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key}: must be >= 0, got {value}" in capsys.readouterr().err
+
+
+def test_static_all_over_eight_nodes_is_config_error(tmp_path, capsys):
+    """This used to exit 3 with "error: route enumeration supports 2..8 nodes"."""
+    cfg_path = _quickstart_with(tmp_path, "partition", "nodes", 9)
+    cfg_path.write_text(cfg_path.read_text().replace("ring = static:0,1,2,3,4", "s = static:all"))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: policies.s: route enumeration supports 2..8 nodes, got 9" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("eta", ["500", "1e308"])
+def test_diverging_trials_stop_warn_and_exit_3(tmp_path, capsys, eta):
+    """With these rates the quickstart used to train on NaN to its last
+    iteration, write nan losses and exit 0."""
+    cfg_path = _quickstart_with(tmp_path, "learner", "eta", eta, iterations=4000)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 3
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 9  # 3 policies x 3 trials
+        assert all(re.fullmatch(r"warning: \w+ trial \d diverged: test loss (nan|inf) "
+                                r"at transmission \d+", line) for line in warnings)
+    status = json.loads((outs[0] / "status.json").read_text())
+    assert status == {label: {"reached": 0, "budget_exhausted": 0, "diverged": 3}
+                      for label in ("dynamic", "random", "ring")}
+    for label in status:
+        rows = _read_rows(outs[0] / f"results_{label}.csv")
+        for trial in range(3):
+            losses = [r[4] for r in rows if r[0] == trial]
+            assert not np.isfinite(losses[-1]) and np.all(np.isfinite(losses[:-1]))
+    assert json.loads((outs[0] / "summary.json").read_text())["ring"]["n_reached"] == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    # A clean rerun into the same directory leaves no stale status behind.
+    cfg_path.write_text(cfg_path.read_text().replace(f"eta = {eta}", "eta = 0.05"))
+    assert main(["run", str(cfg_path), "--out", str(outs[0])]) == 0
+    assert not (outs[0] / "status.json").exists()
+
+
+def test_csv_test_row_near_float_max_exits_3(tmp_path, capsys):
+    """Found by test_cli_fuzz: this test row overflows every evaluation, and
+    the run used to write nan losses and exit 0."""
+    (tmp_path / "train.csv").write_text("0,0,0,0\n1,0,0,0\n")
+    (tmp_path / "test.csv").write_text("0,0,-1e308,0\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        "[partition]\nscheme = contiguous\nnodes = 2\n\n"
+        "[learner]\nlayers = 3,8,2\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 20\ntarget_accuracy = 0.9\n\n"
+        "[policies]\ndynamic = dynamic\nring = static:1,0\ngossip = gossip\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.count(" diverged: ") == 3
+    status = json.loads((tmp_path / "out" / "status.json").read_text())
+    assert {label: counts["diverged"] for label, counts in status.items()} == {
+        "dynamic": 1, "ring": 1, "gossip": 1}
+
+
 def test_enumerate_static_routes_table():
     routes = enumerate_static_routes(5)
     assert len(routes) == 24
@@ -291,3 +379,147 @@ def test_enumerate_static_routes_table():
         enumerate_static_routes(1)
     with pytest.raises(ValueError):
         enumerate_static_routes(9)
+
+
+# CLI fuzzing: mutated shipped configs and small generated CSV datasets run
+# through main() in-process. Sizes stay small: at most 8 nodes, 16-wide
+# layers, 50 rows per class, 20 iterations and one trial.
+
+def _sections(text):
+    """Config text as [[section, [[key, value], ...]], ...], comments dropped."""
+    sections = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            sections.append([line[1:-1], []])
+        elif line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            sections[-1][1].append([key.strip(), value.strip()])
+    return sections
+
+
+def _render(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in pairs) + "\n"
+        for name, pairs in sections
+    )
+
+
+_SHIPPED = [
+    path.read_text().replace("8,32,10", "8,16,10").replace("per_class = 200", "per_class = 50")
+    .replace("iterations = 4000", "iterations = 20").replace("trials = 3", "trials = 1")
+    for path in sorted((Path(__file__).parents[1] / "configs").glob("*.cfg"))
+]
+_NUMBERS = ["0", "-1", "1", "2", "3", "0.5", "nan", "inf", "1e308", "1e-308"]
+_VALUES = _NUMBERS + ["", "x", "true", "1,0; 0,1", "3,8,2", "static:", "static:0,0,1",
+                      "static:1,0", "static:all", "dynamic", "gossip", "csv", "exponential", "table"]
+_KEYS = ["kind", "classes", "dims", "per_class", "separation", "train", "header", "seed", "scheme",
+         "nodes", "k_min", "k_max", "rate", "counts", "layers", "eta", "batch", "iterations",
+         "interval", "eval_every", "target_accuracy", "trials", "flavor", "ring"]
+_FEATURES = ["0", "-1", "0.5", "2", "-0.0", "1e308", "-1e308"]
+# A config error may name the section a mutation touched, or a section whose
+# checks read it.
+_READERS = {"dataset": {"dataset", "partition", "learner"}, "partition": {"partition", "policies"}}
+
+
+@st.composite
+def _csv_case(draw):
+    """A small CSV train/test pair and a config that reads it."""
+    classes, dims = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+
+    def rows(max_rows):
+        labels = draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=max_rows))
+        return "".join(
+            f"{y}," + ",".join(draw(st.sampled_from(_FEATURES)) for _ in range(dims)) + "\n"
+            for y in labels
+        )
+
+    files = {"train.csv": rows(12), "test.csv": rows(6)}
+    partition = draw(st.sampled_from([
+        "scheme = contiguous\nnodes = 2", "scheme = random_k\nnodes = 2\nk_min = 1\nk_max = 2",
+        "scheme = exponential\nnodes = 2\nrate = 1.0", "scheme = table\nnodes = 2\ncounts = 1,0; 0,1",
+    ]))
+    text = (
+        "[dataset]\nkind = csv\ntrain = {dir}/train.csv\ntest = {dir}/test.csv\n\n"
+        f"[partition]\n{partition}\n\n[learner]\nlayers = {dims},8,{classes}\neta = 0.1\n"
+        "batch = 2\n\n[run]\niterations = 20\ntarget_accuracy = 0.9\n\n"
+        "[policies]\ndynamic = dynamic\nring = static:1,0\ngossip = gossip\n"
+    )
+    return text, files
+
+
+@st.composite
+def _fuzz_case(draw):
+    """(config text, data files, sections a fault may be reported under)."""
+    if draw(st.booleans()):
+        text, files = draw(_csv_case())
+        touched = {"dataset", "partition"}
+    else:
+        text, files, touched = draw(st.sampled_from(_SHIPPED)), {}, set()
+    sections = _sections(text)
+    # Mostly retyped values, so that many cases get past parsing.
+    ops = ["set"] * 6 + ["drop", "drop", "add", "duplicate", "drop_section"]
+    for _ in range(draw(st.integers(0 if files else 1, 2))):
+        op = draw(st.sampled_from(ops))
+        name, pairs = draw(st.sampled_from(sections))
+        touched |= _READERS.get(name, {name})
+        if op == "drop_section" and len(sections) > 1:
+            sections.remove([name, pairs])
+        elif op == "add" or not pairs:
+            pairs.append([draw(st.sampled_from(_KEYS)), draw(st.sampled_from(_VALUES))])
+        else:
+            i = draw(st.integers(0, len(pairs) - 1))
+            if op == "drop":
+                del pairs[i]
+            elif op == "duplicate":
+                pairs.append(list(pairs[i]))
+            else:
+                numeric = re.fullmatch(r"[-+.\deE]+", pairs[i][1])
+                pairs[i][1] = draw(st.sampled_from(_NUMBERS if numeric else _VALUES))
+    return _render(sections), files, touched
+
+
+def _run_main(text, files):
+    """Run ``tramfl run`` on the case in a scratch directory; returns (exit
+    code, stderr, {output name: bytes})."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in files.items():
+            Path(tmp, name).write_text(body)
+        cfg_path = Path(tmp, "exp.cfg")
+        cfg_path.write_text(text.replace("{dir}", tmp))
+        out, err = Path(tmp, "out"), io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["run", str(cfg_path), "--out", str(out)])
+        outputs = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, err.getvalue(), outputs
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in _numbers(v)]
+    if isinstance(value, list):
+        return [n for v in value for n in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_fuzz_case())
+def test_cli_fuzz(case):
+    """Any config exits 0, 2 or 3 without a traceback; a config error names
+    a section or key at fault; exit 0 writes only finite numbers."""
+    text, files, touched = case
+    code, err, outputs = _run_main(text, files)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("config error: ")
+        assert any(name in err for name in touched), (err, touched)
+    if code == 0:
+        assert "status.json" not in outputs
+        for name, data in outputs.items():
+            if name.endswith(".csv"):
+                for line in data.decode().splitlines()[1:]:
+                    assert all(math.isfinite(float(v)) for v in line.split(",")), (name, line)
+        summary = json.loads(outputs["summary.json"], parse_constant=float)
+        assert all(math.isfinite(n) for n in _numbers(summary))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from tramfl import (
     run_trials,
     sgd_step,
     split_contiguous_labels,
+    split_random_k_labels,
 )
 from tramfl import simulator
 
@@ -362,3 +365,51 @@ def test_run_trials_dispatches_gossip(small_task):
     )
     assert summary.results[0].records[-1].transmissions == 4  # 2 rounds x V(V-1)
     assert summary.results[0].records[-1].holder == -1
+
+
+@pytest.mark.parametrize("eta", [500.0, 1e308])
+@pytest.mark.parametrize("kind", ["dynamic", "gossip"])
+def test_diverging_trial_stops_at_first_non_finite_evaluation(small_task, kind, eta):
+    """Such a trial used to train on NaN to its last iteration."""
+    train, test = small_task
+    cfg = _cfg(policy=PolicySpec(kind), learning_rate=eta, max_iterations=200, target_accuracy=0.99)
+    run = run_gossip if kind == "gossip" else run_tram_fl
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run(split_contiguous_labels(train, 2), test, cfg)
+    losses = [r.test_loss for r in result.records]
+    assert result.status == "diverged"
+    assert not np.isfinite(losses[-1]) and np.all(np.isfinite(losses[:-1]))
+    assert result.records[-1].iteration < cfg.max_iterations
+    assert result.transmissions_to_target is None
+
+
+def test_non_finite_loss_at_target_accuracy_is_diverged(small_task, monkeypatch):
+    monkeypatch.setattr(simulator, "evaluate", lambda params, ds, **kwargs: (1.0, float("inf")))
+    train, test = small_task
+    result = run_tram_fl(split_contiguous_labels(train, 2), test, _cfg(target_accuracy=0.5))
+    assert result.status == "diverged" and result.transmissions_to_target is None
+    assert len(result.records) == 1
+
+
+@pytest.mark.parametrize("arch, policy, status", [
+    ((8, 16, 10), "dynamic", "reached"),
+    ((8, 16, 10), "random", "reached"),
+    ((8, 16, 10), "static", "reached"),
+    ((8, 16, 10), "gossip", "budget_exhausted"),
+    ((8, 16, 16, 10), "dynamic", "reached"),
+    ((8, 16, 16, 10), "gossip", "budget_exhausted"),
+])
+def test_golden_trials_reach_or_exhaust_their_budget(arch, policy, status):
+    """The trials test_goldens pins end as reached or budget_exhausted, with
+    every test loss finite."""
+    train, test = generate_synthetic_split(10, 8, 60, 20, 4.0, 1)
+    cfg = RunConfig(arch=ArchSpec(arch), learning_rate=0.05, batch_size=8, interval=2,
+                    max_iterations=400, eval_every=5, target_accuracy=0.85, seed=3)
+    if policy == "gossip":
+        result = run_gossip(split_contiguous_labels(train, 5), test, replace(cfg, max_iterations=30))
+    else:
+        spec = PolicySpec("static", (0, 2, 1, 3, 4)) if policy == "static" else PolicySpec(policy)
+        shards = split_random_k_labels(train, 5, 2, 5, np.random.default_rng(1))
+        result = run_tram_fl(shards, test, replace(cfg, policy=spec))
+    assert result.status == status
+    assert np.all(np.isfinite([r.test_loss for r in result.records]))
