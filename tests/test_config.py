@@ -475,3 +475,44 @@ def test_single_fault_message_pinned(base, old, new, message):
     with pytest.raises(ConfigError) as info:
         parse_config_text(base.replace(old, new, 1))
     assert str(info.value) == message
+
+
+# (id, base text, old, new, the parsed value, expected): every range rule at
+# its legal boundary. The pins above cover the reject side of each comparison.
+RANGE_BOUNDARIES = [
+    ("classes", FULL_TEXT.replace("4,16,4", "4,16,2"), "classes = 4", "classes = 2",
+     lambda c: c.dataset.classes, 2),
+    ("dims", FULL_TEXT.replace("4,16,4", "1,16,4"), "dims = 4", "dims = 1",
+     lambda c: c.dataset.dims, 1),
+    ("per_class", FULL_TEXT, "per_class = 40\ntest_per_class = 20",
+     "per_class = 1\ntest_per_class = 1",
+     lambda c: (c.dataset.per_class, c.dataset.test_per_class), (1, 1)),
+    ("separation", FULL_TEXT, "separation = 3.0", "separation = 5e-324",
+     lambda c: c.dataset.separation, 5e-324),
+    ("dataset_seed", FULL_TEXT, "seed = 1\n", "seed = 0\n", lambda c: c.dataset.seed, 0),
+    ("nodes", FULL_TEXT.replace("static:0,1,2", "static:1,0"), "nodes = 3", "nodes = 2",
+     lambda c: c.partition.nodes, 2),
+    ("rate", EXPONENTIAL_TEXT, "rate = 1.0", "rate = 5e-324", lambda c: c.partition.rate, 5e-324),
+    ("partition_seed", FULL_TEXT, "seed = 2\n", "seed = 0\n", lambda c: c.partition.seed, 0),
+    ("eta", FULL_TEXT, "eta = 0.05", "eta = 5e-324", lambda c: c.run.learning_rate, 5e-324),
+    ("batch", FULL_TEXT, "batch = 8", "batch = 1", lambda c: c.run.batch_size, 1),
+    ("iterations", FULL_TEXT, "iterations = 300", "iterations = 1",
+     lambda c: c.run.max_iterations, 1),
+    ("interval", FULL_TEXT, "interval = 2", "interval = 1", lambda c: c.run.interval, 1),
+    ("eval_every", FULL_TEXT.replace("eval_every = 1", "eval_every = 3"), "eval_every = 3",
+     "eval_every = 1", lambda c: c.run.eval_every, 1),
+    ("trials", FULL_TEXT, "trials = 2", "trials = 1", lambda c: c.trials, 1),
+    ("target_accuracy", FULL_TEXT, "target_accuracy = 0.9", "target_accuracy = 1.0",
+     lambda c: c.run.target_accuracy, 1.0),
+    ("run_seed", FULL_TEXT, "seed = 11", "seed = 0", lambda c: c.run.seed, 0),
+]
+
+
+@pytest.mark.parametrize("base, old, new, value, expected",
+                         [case[1:] for case in RANGE_BOUNDARIES],
+                         ids=[case[0] for case in RANGE_BOUNDARIES])
+def test_range_boundaries_accepted(base, old, new, value, expected):
+    assert old in base
+    cfg = parse_config_text(base.replace(old, new, 1))
+    assert value(cfg) == expected
+    assert parse_config_text(format_config(cfg)) == cfg
