@@ -12,8 +12,9 @@ per-policy counts of trial statuses. A run with no diverged trial writes no
 existed.
 
 Exit codes: 0 success (every number written is finite), 2 config error (an
-unreadable dataset CSV included), 3 runtime/simulation error or a diverged
-trial (after all outputs are written).
+unreadable dataset CSV included, or an empty shard under a policy that visits
+every node), 3 runtime/simulation error or a diverged trial (after all outputs
+are written).
 """
 
 from __future__ import annotations
@@ -77,6 +78,20 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatas
     return train, test
 
 
+def _check_shards_visitable(cfg: ExperimentConfig, shards) -> None:
+    """An empty shard is a config error under any policy that visits every
+    node (random, static, gossip); only dynamic routing skips it."""
+    empty = [shard.node_id for shard in shards if shard.total == 0]
+    visiting = [(label, spec.kind) for label, spec in cfg.policies if spec.kind != "dynamic"]
+    if empty and visiting:
+        key = {"exponential": "rate", "table": "counts"}.get(cfg.partition.scheme, "nodes")
+        label, kind = visiting[0]
+        raise ConfigError(
+            f"partition.{key}: node {empty[0]} gets no training rows, and policies.{label} "
+            f"({kind}) visits every node; only dynamic routing skips an empty shard"
+        )
+
+
 def _write_results_csv(path, summary: TrialsSummary) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(CSV_COLUMNS + "\n")
@@ -127,6 +142,7 @@ def run_experiment(
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
     train, test = _build_datasets(cfg)
     shards = make_shards(train, cfg.partition)
+    _check_shards_visitable(cfg, shards)
     base = replace(cfg.run, count_exchanges_once=count_exchanges_once)
     os.makedirs(out_dir, exist_ok=True)
 

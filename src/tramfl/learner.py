@@ -23,13 +23,12 @@ the layout numpy would allocate for the result: numpy then makes the same
 BLAS call. An ``out`` in another layout can change the call and the bits;
 a Fortran-ordered ``out`` does for a (500, 32) @ (32, 10) product.
 
-``loss_and_grad``, ``evaluate`` and ``sgd_step`` take an optional
-``workspace``, a :class:`_Workspace` built once per trial. It keeps the
-layer views, the gradient and the per-row-count buffers between calls, so
-a step allocates little. A gradient returned through a workspace is that
-workspace's buffer: its next ``loss_and_grad`` overwrites it. ``sgd_step``
-with a workspace updates ``params.values`` in place; without one it
-returns a new :class:`ModelParams`.
+``loss_and_grad`` and ``evaluate`` take an optional ``workspace``, a
+:class:`_Workspace` built once per trial. It keeps the layer views, the
+gradient and the per-row-count buffers between calls, so a step allocates
+little. A gradient returned through a workspace is that workspace's
+buffer: its next ``loss_and_grad`` overwrites it. ``sgd_step`` always
+updates ``params.values`` in place.
 """
 
 from __future__ import annotations
@@ -233,20 +232,18 @@ def loss_and_grad(params: ModelParams, features, labels, *,
     return loss, grad
 
 
-def sgd_step(params: ModelParams, grad: np.ndarray, eta: float, *,
-             workspace: _Workspace | None = None) -> ModelParams:
-    """One gradient-descent update, ``values - eta * grad``.
+def sgd_step(params: ModelParams, grad: np.ndarray, eta: float) -> ModelParams:
+    """One gradient-descent update, ``values -= eta * grad``, in place.
 
-    Returns a new ModelParams, or with a ``workspace`` overwrites
-    ``params.values`` with the same elementwise result and returns ``params``.
+    Overwrites ``params.values`` and returns ``params``. ModelParams keeps
+    a float64 array it is given without copying it, so the caller's array
+    changes too: step a copy to keep the original.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.values.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match {params.values.shape}")
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    if workspace is None:
-        return ModelParams(params.arch, params.values - eta * grad)
     params.values -= eta * grad
     return params
 

@@ -84,9 +84,7 @@ class RouteTable(tuple):
         nonempty = [shard for shard in table if shard.total > 0]
         if not nonempty:
             raise StateError("no nonempty shard to route to")
-        # expected_usage for every row at once: the same counts * (volume / total)
-        totals = np.array([shard.total for shard in nonempty], dtype=np.float64)
-        usage = np.array([shard.hist.counts for shard in nonempty]) * (volume / totals)[:, None]
+        usage = np.array([expected_usage(shard, volume).counts for shard in nonempty])
         raw, width = usage.tobytes(), usage.shape[1] * usage.itemsize
         first = {}
         for i in range(len(nonempty)):

@@ -132,13 +132,13 @@ class _EvalTrace:
     stop: the target accuracy was reached, or the test loss is not finite,
     which marks the trial diverged. :meth:`result` adds the terminal
     evaluation and builds the :class:`TrialResult`. Evaluations run in the
-    caller's ``workspace``.
+    trace's own workspace, sized for the test set for the whole trial.
     """
 
-    def __init__(self, test_set, cfg: RunConfig, workspace: _Workspace):
+    def __init__(self, test_set, cfg: RunConfig):
         self.test_set = test_set
         self.cfg = cfg
-        self.workspace = workspace
+        self.workspace = _Workspace(cfg.arch)
         self.records: list[EvalRecord] = []
         self.reached: int | None = None
         self.diverged = False
@@ -187,7 +187,7 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     any random routing choices. Evaluates after every `eval_every`-th
     transmission and at termination; stops early once `target_accuracy` is
     reached at an evaluation point. The one model is trained in place, in a
-    workspace built for the trial.
+    workspace built for the trial; the trace evaluates in its own.
     """
     policy = cfg.policy
     if policy is None:
@@ -213,17 +213,15 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     if policy.kind == "dynamic":
         shards = RouteTable(shards, volume)
 
-    # Training and evaluation alternate at every hop, so each keeps its own
-    # workspace and its buffers for the whole trial.
     workspace = _Workspace(cfg.arch)
-    trace = _EvalTrace(test_set, cfg, _Workspace(cfg.arch))
+    trace = _EvalTrace(test_set, cfg)
     transmissions = 0
     for iteration in range(1, cfg.max_iterations + 1):
         shard = shards[holder]
         idx, counts = draw_minibatch(shard, cfg.batch_size, rng)
         _, grad = loss_and_grad(params, shard.features[idx], shard.labels[idx],
                                 workspace=workspace)
-        sgd_step(params, grad, cfg.learning_rate, workspace=workspace)
+        sgd_step(params, grad, cfg.learning_rate)
         state = update_ledger(state, counts)
         if iteration % cfg.interval == 0:
             if policy.kind == "dynamic":
@@ -242,12 +240,13 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
 def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     """Synchronous full-mesh gossip baseline.
 
-    Every node keeps its own model (all initialized from the shared seed).
-    Per round each node takes one SGD step on a local minibatch, then all
-    models are replaced by their unweighted average. The evaluated model is
-    that round average; its holder is recorded as -1. After a round every
-    node aliases the one averaged model, so steps return new models; the
-    gradients and the evaluations share one workspace.
+    Every node keeps its own model (all initialized from the shared seed)
+    in its own parameter array for the whole trial. Per round each node takes
+    one in-place SGD step on a local minibatch, then the unweighted average
+    of all models is copied into every node's array. The evaluated and
+    returned model is that round average, a separate ModelParams; its
+    holder is recorded as -1. Training and evaluation each keep their own
+    workspace, as in :func:`run_tram_fl`.
     """
     shards = sorted(shards, key=lambda s: s.node_id)
     num_nodes = len(shards)
@@ -259,17 +258,13 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
 
     rng = np.random.default_rng(cfg.seed)
     shared = init_he(cfg.arch, cfg.seed)
-    # Copies, not [shared] * n: same bits, but glibc's dynamic malloc thresholds make that 25-40% slower.
     models = [ModelParams(shared.arch, shared.values.copy()) for _ in range(num_nodes)]
     per_round = num_nodes * (num_nodes - 1)
     if cfg.count_exchanges_once:
         per_round //= 2
 
-    # One workspace: its test-set buffers are dropped when the next round's
-    # batches resize it, so they are not held through the averaging, whose
-    # stacked models dominate peak memory.
     workspace = _Workspace(cfg.arch)
-    trace = _EvalTrace(test_set, cfg, workspace)
+    trace = _EvalTrace(test_set, cfg)
     transmissions = 0
     averaged = shared
     for round_num in range(1, cfg.max_iterations + 1):
@@ -277,9 +272,10 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
             idx, _ = draw_minibatch(shard, cfg.batch_size, rng)
             _, grad = loss_and_grad(models[i], shard.features[idx], shard.labels[idx],
                                     workspace=workspace)
-            models[i] = sgd_step(models[i], grad, cfg.learning_rate)
+            sgd_step(models[i], grad, cfg.learning_rate)
         averaged = average_params(models, [1.0] * num_nodes)
-        models = [averaged] * num_nodes
+        for model in models:
+            model.values[...] = averaged.values
         transmissions += per_round
         if trace.after_send(round_num, transmissions, -1, averaged):
             break

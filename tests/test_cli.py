@@ -307,6 +307,42 @@ def test_table_counts_beyond_training_set_is_config_error(tmp_path, capsys):
     assert "partition.counts" in err and "class 0" in err
 
 
+_TWO_CLASS_SYNTHETIC = (
+    "[dataset]\nkind = synthetic\nclasses = 2\ndims = 2\nper_class = {per_class}\n"
+    "separation = 3.0\n\n[partition]\n{partition}\n\n"
+    "[learner]\nlayers = 2,4,2\neta = 0.1\nbatch = 2\n\n"
+    "[run]\niterations = 20\ntarget_accuracy = 0.5\n\n[policies]\n{policies}\n"
+)
+
+
+@pytest.mark.parametrize("per_class, partition, policies, key, label", [
+    (50, "scheme = table\nnodes = 3\ncounts = 20,20; 0,0; 30,30",
+     "p = dynamic\nq = random", "partition.counts", "policies.q"),
+    (5, "scheme = exponential\nnodes = 10\nrate = 1.0",
+     "g = gossip", "partition.rate", "policies.g"),
+], ids=["table_random", "exponential_gossip"])
+def test_empty_shard_under_visiting_policy_is_config_error(
+        tmp_path, capsys, per_class, partition, policies, key, label):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_TWO_CLASS_SYNTHETIC.format(
+        per_class=per_class, partition=partition, policies=policies))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and label in err
+    assert not out.exists()
+
+
+def test_empty_shard_under_dynamic_only_runs(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_TWO_CLASS_SYNTHETIC.format(
+        per_class=50, partition="scheme = table\nnodes = 3\ncounts = 20,20; 0,0; 30,30",
+        policies="p = dynamic"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["results_p.csv", "summary.json"]
+
+
 @pytest.mark.parametrize("key", ["learner.eta", "dataset.separation"])
 def test_non_finite_float_is_config_error(tmp_path, capsys, key):
     """With ``inf`` here the quickstart used to train on NaN, print 0/3 for

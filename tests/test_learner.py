@@ -154,7 +154,8 @@ def test_finite_diff_rejects_zero_eps():
 
 def test_sgd_zero_gradient_fixed_point():
     params = init_he(ArchSpec((3, 2)), 4)
-    stepped = sgd_step(params, np.zeros_like(params.values), 0.5)
+    stepped = sgd_step(ModelParams(params.arch, params.values.copy()),
+                       np.zeros_like(params.values), 0.5)
     assert np.array_equal(stepped.values, params.values)
 
 
@@ -171,8 +172,8 @@ def test_sgd_two_steps_equal_summed_gradient():
     params = ModelParams(arch, rng.standard_normal(arch.num_params()))
     g1 = rng.standard_normal(arch.num_params())
     g2 = rng.standard_normal(arch.num_params())
-    two = sgd_step(sgd_step(params, g1, 0.1), g2, 0.1)
-    one = sgd_step(params, g1 + g2, 0.1)
+    two = sgd_step(sgd_step(ModelParams(arch, params.values.copy()), g1, 0.1), g2, 0.1)
+    one = sgd_step(ModelParams(arch, params.values.copy()), g1 + g2, 0.1)
     assert np.allclose(two.values, one.values, atol=1e-12)
 
 
@@ -182,21 +183,13 @@ def test_sgd_layout_mismatch():
         sgd_step(params, np.zeros(3), 0.1)
 
 
-def test_sgd_does_not_mutate_input():
-    params = init_he(ArchSpec((3, 2)), 4)
-    before = params.values.copy()
-    stepped = sgd_step(params, np.ones_like(params.values), 0.1)
-    assert np.array_equal(params.values, before)
-    assert stepped is not params and stepped.values is not params.values
-
-
-def test_sgd_with_workspace_updates_in_place():
+def test_sgd_updates_in_place():
     params = init_he(ArchSpec((3, 2)), 4)
     grad = np.linspace(-1.0, 1.0, params.values.size)
-    want = sgd_step(params, grad, 0.1).values
-    values = params.values
-    assert sgd_step(params, grad, 0.1, workspace=_Workspace(params.arch)) is params
-    assert params.values is values and values.tobytes() == want.tobytes()
+    before, values = params.values.copy(), params.values
+    assert sgd_step(params, grad, 0.1) is params
+    assert params.values is values
+    assert values.tobytes() == (before - 0.1 * grad).tobytes()
 
 
 def test_workspace_gradient_is_overwritten_by_next_call():
@@ -227,7 +220,8 @@ def test_sgd_decreases_loss_with_small_enough_eta():
     assert np.linalg.norm(grad) > 1e-12
     eta = 0.5
     for _ in range(60):
-        stepped_loss, _ = loss_and_grad(sgd_step(params, grad, eta), *batch)
+        stepped = sgd_step(ModelParams(params.arch, params.values.copy()), grad, eta)
+        stepped_loss, _ = loss_and_grad(stepped, *batch)
         if stepped_loss < loss:
             break
         eta /= 2
@@ -415,8 +409,8 @@ def numeric_cases(draw):
 
 
 def _assert_matches_oracle(params, features, labels, workspace=None):
-    """Evaluate, loss and gradient, and an SGD step (in place with a
-    workspace) against the oracle, byte for byte."""
+    """Evaluate, loss and gradient, and an in-place SGD step of a copy
+    against the oracle, byte for byte."""
     ds = LabeledDataset(features, labels, params.arch.layer_sizes[-1], params.arch.layer_sizes[0])
     with np.errstate(all="ignore"):
         got_eval = evaluate(params, ds, workspace=workspace)
@@ -424,7 +418,7 @@ def _assert_matches_oracle(params, features, labels, workspace=None):
         got_loss, got_grad = loss_and_grad(params, features, labels, workspace=workspace)
         want_loss, want_grad = oracle_loss_and_grad(params, features, labels)
         stepped = ModelParams(params.arch, params.values.copy())
-        stepped = sgd_step(stepped, got_grad, 0.05, workspace=workspace)
+        stepped = sgd_step(stepped, got_grad, 0.05)
         want_step = params.values - 0.05 * want_grad
     assert [type(v) for v in got_eval] == [float, float]
     assert repr(got_eval) == repr(want_eval)
