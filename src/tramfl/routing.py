@@ -25,21 +25,25 @@ class RoutingState:
     holder: int
 
 
-def dispersion(hist: LabelHistogram) -> float:
-    """Population variance of the histogram entries.
+def _variances(columns: np.ndarray) -> np.ndarray:
+    """Population variance of each column of a (C, V) array.
 
-    Zero exactly when all entries are equal. It sums with the builtin ``sum``
-    and squares with float ``**``, the same operations as the tests'
-    sequential oracles, so on one interpreter it ties exactly where they do.
-    That does not carry across platforms: ``**`` goes through the C
-    library's ``pow``, and from Python 3.12 on ``sum`` of floats is
-    compensated. The goldens were pinned on CPython 3.11.
+    Both sums run down each column one row at a time, as a left-to-right
+    ``+=`` loop would, and each deviation is squared with one multiply, so
+    the bits do not depend on the Python version.
     """
-    counts = [float(c) for c in hist.counts]
-    if not counts:
+    size = columns.shape[0]
+    mean = np.add.accumulate(columns, axis=0)[-1] / size
+    deviations = columns - mean
+    return np.add.accumulate(deviations * deviations, axis=0)[-1] / size
+
+
+def dispersion(hist: LabelHistogram) -> float:
+    """Population variance of the histogram entries, in the arithmetic the
+    router ranks its candidates with."""
+    if hist.counts.size == 0:
         raise ValueError("dispersion of an empty histogram is undefined")
-    mean = sum(counts) / len(counts)
-    return sum((c - mean) ** 2 for c in counts) / len(counts)
+    return float(_variances(hist.counts[:, None])[0])
 
 
 def _check_volume(volume: int) -> None:
@@ -66,16 +70,10 @@ class RouteTable(tuple):
     for one ``volume``.
 
     It is a tuple of the shards, so it can stand in for the shard list
-    wherever one is read. Built once per run, it holds:
-
-    - ``node_ids``: the candidate node of each row below, in ascending order;
-    - ``usage``: S, one :func:`expected_usage` row per nonempty shard, with
-      each repeated row kept only at its lowest node id;
-    - ``centred``: Sc, each row of S minus its mean, and ``norms``, the
-      squared row norms of Sc;
-    - ``max_usage``: the largest entry of S.
-
-    Raises StateError if every shard is empty.
+    wherever one is read. Built once per run, it holds ``volume``,
+    ``node_ids`` (every nonempty shard, in ascending order) and ``usage``, a
+    C-contiguous (C, V) array whose column j is the :func:`expected_usage`
+    of ``node_ids[j]``. Raises StateError if every shard is empty.
     """
 
     def __new__(cls, shards, volume: int):
@@ -84,18 +82,9 @@ class RouteTable(tuple):
         nonempty = [shard for shard in table if shard.total > 0]
         if not nonempty:
             raise StateError("no nonempty shard to route to")
-        usage = np.array([expected_usage(shard, volume).counts for shard in nonempty])
-        raw, width = usage.tobytes(), usage.shape[1] * usage.itemsize
-        first = {}
-        for i in range(len(nonempty)):
-            first.setdefault(raw[i * width:(i + 1) * width], i)
-        keep = list(first.values())
         table.volume = volume
-        table.node_ids = [nonempty[i].node_id for i in keep]
-        table.usage = usage[keep]
-        table.centred = table.usage - table.usage.mean(axis=1, keepdims=True)
-        table.norms = (table.centred * table.centred).sum(axis=1)
-        table.max_usage = float(table.usage.max())
+        table.node_ids = [shard.node_id for shard in nonempty]
+        table.usage = np.column_stack([expected_usage(s, volume).counts for s in nonempty])
         return table
 
 
@@ -103,56 +92,23 @@ def select_next_dynamic(state: RoutingState, shards, volume: int) -> int:
     """Pick the node whose expected usage of ``volume`` samples leaves the
     ledger most uniform.
 
-    Every nonempty shard is a candidate, including the current holder; ties
-    break to the lowest node index. Raises StateError if all shards are empty.
-    The choice is the first minimum of :func:`dispersion` over the candidate
-    ledgers ``L + S_v`` (ledger plus :func:`expected_usage`), in node order.
+    Every nonempty shard is a candidate, including the current holder; the
+    choice is the first minimum of :func:`dispersion` over the candidate
+    ledgers (ledger plus :func:`expected_usage`), found in one exact pass,
+    so ties break to the lowest node id. Raises StateError if all shards
+    are empty, ValueError if the ledger's length is not the class count.
 
     ``shards`` is a :class:`RouteTable` built for ``volume``, or any sequence
     of shards, for which a table is built for this call. A table built for
     another volume is rebuilt too. The simulator builds one table per run.
-
-    Scoring. With C classes, L̄ the mean of L and Sc_v the centred row of
-    S_v, ``C * var(L + S_v) = |L - L̄|² + 2 Sc_v·(L - L̄) + |Sc_v|²``. The
-    first term is the same for every candidate, so it is dropped and each
-    candidate scores ``2 Sc_v·(L - L̄) + |Sc_v|²``: a large ledger's
-    variance never has to cancel against itself. The rows of Sc sum to
-    zero, so ``Sc_v·(L - L̄) = Sc_v·L`` and one matrix-vector product with
-    the ledger scores every candidate.
-
-    Dropping repeated rows of S cannot change the choice: two nodes with the
-    same row (same bits) have the same candidate ledger and the same exact
-    ``dispersion``, so the later one can never beat the earlier one.
-
-    Tolerance. The score only shortlists: every candidate within
-    ``1e-9 * C * (1 + M²)`` of the best score goes on to the exact
-    ``dispersion``, which decides, ties to the lowest node id. Here
-    ``M = max|L| + max S`` bounds every entry of every candidate ledger, so
-    every deviation, square and product either computation forms is at most
-    4M² in size. Each of the C terms of a sum is rounded at most about C
-    times, at unit roundoff u = 2**-53, and the candidate ledgers themselves
-    are rounded once per entry. The errors of centring are second order,
-    since the centred rows sum to zero up to rounding. So the score and
-    ``C * dispersion - |L - L̄|²`` differ by at most about ``40 C² u M²``,
-    and a candidate with the least exact ``dispersion`` scores within twice
-    that of the best score. The tolerance exceeds that for any C below
-    ``1e-9 / (80 u)``, about 10**5. It scales with the entries, not with the
-    best score, which can be exactly 0.
     """
     if not (isinstance(shards, RouteTable) and shards.volume == volume):
         shards = RouteTable(shards, volume)
     ledger = state.cumulative.counts
-    scores = shards.centred @ ledger
-    scores *= 2.0
-    scores += shards.norms
-    bound = float(np.abs(ledger).max()) + shards.max_usage
-    tolerance = 1e-9 * len(ledger) * (1.0 + bound * bound)
-    shortlist = np.flatnonzero(scores <= scores.min() + tolerance)
-    best = shortlist[0]
-    if len(shortlist) > 1:
-        exact = [dispersion(LabelHistogram(ledger + shards.usage[i])) for i in shortlist]
-        best = shortlist[exact.index(min(exact))]
-    return shards.node_ids[best]
+    if len(ledger) != len(shards.usage):
+        raise ValueError(f"ledger length {len(ledger)} does not match the "
+                         f"{len(shards.usage)} classes of the shards")
+    return shards.node_ids[np.argmin(_variances(ledger[:, None] + shards.usage))]
 
 
 def next_static(route: tuple[int, ...], holder: int) -> int:

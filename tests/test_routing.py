@@ -1,7 +1,11 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_goldens import QUICKSTART, QUICKSTART_SHA256
 
 from tramfl import (
     LabelHistogram,
@@ -14,6 +18,8 @@ from tramfl import (
     select_next_dynamic,
     update_ledger,
 )
+from tramfl import routing
+from tramfl.cli import main
 from tramfl.partition import DatasetShard
 from tramfl.routing import RouteTable
 
@@ -75,6 +81,80 @@ def test_dispersion_zero_iff_uniform():
     assert dispersion(LabelHistogram([7, 8])) > 0.0
 
 
+def loop_dispersion(values):
+    """Population variance by left-to-right ``+=`` sums, squaring with one
+    multiply: what the builtin ``sum`` and ``d * d`` give on Python 3.10 and
+    3.11."""
+    total = 0.0
+    for value in values:
+        total += value
+    mean = total / len(values)
+    squares = 0.0
+    for value in values:
+        deviation = value - mean
+        squares += deviation * deviation
+    return squares / len(values)
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum`` of Python 3.12 and later over floats: Neumaier's
+    compensated summation, ported from CPython's ``builtin_sum_impl``."""
+    values = iter(values)
+    total = start
+    for value in values:
+        total = total + value
+        break
+    compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compensated_sum_port():
+    assert sum([1e16, 1.0, -1e16]) == 0.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert compensated_sum([]) == 0
+    assert compensated_sum([0.1] * 10) == 1.0
+
+
+MIXED = st.one_of(
+    st.integers(min_value=0, max_value=10**16).map(float),
+    st.floats(min_value=-1e16, max_value=1e16, allow_nan=False),
+    st.sampled_from([1e16, -1e16, 1.0, 0.1, 3.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MIXED, min_size=1, max_size=12))
+@example([1e16, 1.0, 1.0, 1.0])
+@example([1e16, 1.0, -1e16, 3.0])
+@example([0.1] * 10)
+@example([1e16])
+@example([-0.0])
+def test_dispersion_matches_the_left_to_right_loop(values):
+    """Bit for bit, including vectors whose naive and compensated sums
+    differ, which is where the builtin ``sum`` changed in Python 3.12."""
+    assert dispersion(LabelHistogram(values)).hex() == loop_dispersion(values).hex()
+
+
+def test_quickstart_does_not_depend_on_the_builtin_sum(tmp_path, capsys, monkeypatch):
+    """The quickstart's outputs, with every ``sum`` in the router replaced by
+    Python 3.12's compensated one: the dynamic routing choices must not move
+    with the interpreter."""
+    monkeypatch.setattr(routing, "sum", compensated_sum, raising=False)
+    assert main(["run", QUICKSTART, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == QUICKSTART_SHA256
+
+
 def test_expected_usage_direct():
     usage = expected_usage(fake_shard(0, [10, 0]), 2 * 3)
     assert usage.counts.tolist() == [6.0, 0.0]
@@ -123,6 +203,12 @@ def test_select_may_keep_current_holder():
 def test_select_skips_empty_shards():
     shards = [fake_shard(0, [0, 0]), fake_shard(1, [3, 3])]
     assert select_next_dynamic(_state([9.0, 0.0]), shards, 1) == 1
+
+
+def test_select_rejects_a_ledger_of_another_length():
+    shards = [fake_shard(0, [3, 1]), fake_shard(1, [1, 3])]
+    with pytest.raises(ValueError, match="ledger length 1 does not match the 2 classes"):
+        select_next_dynamic(_state([5.0]), shards, 2)
 
 
 def test_select_all_empty_error():
@@ -220,8 +306,9 @@ def routing_cases(draw):
     return ledger, list(zip(node_ids, rows)), batch_size, interval
 
 
-# Permuted rows under a uniform ledger tie mathematically; rounding then
-# ranks them differently in numpy's variance and in the sequential sum.
+# Permuted rows under a uniform ledger tie mathematically, and rounding then
+# depends on the order of the terms, so these candidates may or may not tie
+# exactly; the router must rank them as the sequential oracle does.
 PERMUTED_TIES = [
     ([71] * 8, list(enumerate([[46, 4, 8, 34, 10, 16, 29, 8], [4, 46, 8, 8, 29, 34, 16, 10],
                                [29, 34, 16, 4, 10, 46, 8, 8], [4, 46, 16, 8, 8, 10, 29, 34]])),
@@ -286,7 +373,7 @@ def test_route_table_keeps_lowest_id_of_duplicate_rows():
     shards = [fake_shard(i, counts[i]) for i in (3, 0, 2, 1)]
     table = RouteTable(shards, 4)
     assert [s.node_id for s in table] == [0, 1, 2, 3]
-    assert table.node_ids == [0, 1]
+    assert table.node_ids == [0, 1, 2, 3]
     assert select_next_dynamic(_state([0.0, 9.0]), table, 4) == 1
     assert select_next_dynamic(_state([9.0, 0.0]), table, 4) == 0
 
