@@ -131,7 +131,6 @@ def run_experiment(
     cfg: ExperimentConfig,
     out_dir,
     dump_model: str | None = None,
-    count_exchanges_once: bool = False,
 ) -> int:
     """Run every configured policy and write CSVs, summary.json, and the table.
 
@@ -143,7 +142,6 @@ def run_experiment(
     train, test = _build_datasets(cfg)
     shards = make_shards(train, cfg.partition)
     _check_shards_visitable(cfg, shards)
-    base = replace(cfg.run, count_exchanges_once=count_exchanges_once)
     os.makedirs(out_dir, exist_ok=True)
 
     summaries: list[tuple[str, TrialsSummary]] = []
@@ -152,7 +150,7 @@ def run_experiment(
     for label, spec in cfg.policies:
         # A diverging trial is reported once, below, not by numpy's overflow warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            summary = run_trials(shards, test, replace(base, policy=spec), num_trials=cfg.trials)
+            summary = run_trials(shards, test, replace(cfg.run, policy=spec), num_trials=cfg.trials)
         _write_results_csv(os.path.join(out_dir, f"results_{label}.csv"), summary)
         summaries.append((label, summary))
         last_params = summary.results[-1].final_params
@@ -208,9 +206,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        return run_experiment(
-            cfg, args.out, dump_model=args.dump_model, count_exchanges_once=args.count_exchanges_once
-        )
+        cfg = replace(cfg, run=replace(cfg.run, count_exchanges_once=args.count_exchanges_once))
+        return run_experiment(cfg, args.out, dump_model=args.dump_model)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -291,18 +291,20 @@ def finite_diff_check(params: ModelParams, features, labels, eps: float) -> floa
     return worst
 
 
-def average_params(models, weights) -> ModelParams:
-    """Convex combination of parameter vectors with normalized weights."""
-    if not models:
-        raise ValueError("need at least one model")
-    arch = models[0].arch
-    if any(m.arch != arch for m in models):
-        raise ValueError("all models must share one architecture")
+def average_params(rows, weights, arch: ArchSpec) -> ModelParams:
+    """Convex combination of parameter vectors with normalized weights.
+
+    ``rows`` is a (V, P) matrix whose row i is model i's flat parameter
+    vector for ``arch``. The average is one ``w @ rows`` over a C-ordered
+    float64 copy of it; a C-contiguous float64 matrix is used as it is.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != arch.num_params():
+        raise ValueError(f"need a (models, {arch.num_params()}) matrix, got shape {rows.shape}")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(models),):
-        raise ValueError(f"need {len(models)} weights, got shape {w.shape}")
+    if w.shape != (len(rows),):
+        raise ValueError(f"need {len(rows)} weights, got shape {w.shape}")
     if np.any(w < 0) or not w.sum() > 0:
         raise ValueError("weights must be nonnegative with positive sum")
     w = w / w.sum()
-    stacked = np.stack([m.values for m in models])
-    return ModelParams(arch, w @ stacked)
+    return ModelParams(arch, w @ rows)

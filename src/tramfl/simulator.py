@@ -240,14 +240,18 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
 def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     """Synchronous full-mesh gossip baseline.
 
-    Every node keeps its own model (all initialized from the shared seed)
-    in its own parameter array for the whole trial. Per round each node takes
-    one in-place SGD step on a local minibatch, then the unweighted average
-    of all models is copied into every node's array. The evaluated and
+    Every node keeps its own model, all initialized from the shared seed.
+    The V models are the rows of one (V, P) matrix for the whole trial, and
+    node i's ModelParams wraps row i. Per round each node takes one in-place
+    SGD step on a local minibatch, then the unweighted average of the rows
+    is written back into every row with one broadcast. The evaluated and
     returned model is that round average, a separate ModelParams; its
     holder is recorded as -1. Training and evaluation each keep their own
-    workspace, as in :func:`run_tram_fl`.
+    workspace, as in :func:`run_tram_fl`. ``cfg.policy`` may be unset; set,
+    it must be gossip.
     """
+    if cfg.policy is not None and cfg.policy.kind != "gossip":
+        raise ValueError(f"run_gossip runs gossip, not {cfg.policy.kind}")
     shards = sorted(shards, key=lambda s: s.node_id)
     num_nodes = len(shards)
     if num_nodes < 2:
@@ -257,8 +261,8 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
             raise StateError(f"shard {shard.node_id} is empty")
 
     rng = np.random.default_rng(cfg.seed)
-    shared = init_he(cfg.arch, cfg.seed)
-    models = [ModelParams(shared.arch, shared.values.copy()) for _ in range(num_nodes)]
+    matrix = np.tile(init_he(cfg.arch, cfg.seed).values, (num_nodes, 1))
+    models = [ModelParams(cfg.arch, row) for row in matrix]
     per_round = num_nodes * (num_nodes - 1)
     if cfg.count_exchanges_once:
         per_round //= 2
@@ -266,16 +270,14 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     workspace = _Workspace(cfg.arch)
     trace = _EvalTrace(test_set, cfg)
     transmissions = 0
-    averaged = shared
     for round_num in range(1, cfg.max_iterations + 1):
         for i, shard in enumerate(shards):
             idx, _ = draw_minibatch(shard, cfg.batch_size, rng)
             _, grad = loss_and_grad(models[i], shard.features[idx], shard.labels[idx],
                                     workspace=workspace)
             sgd_step(models[i], grad, cfg.learning_rate)
-        averaged = average_params(models, [1.0] * num_nodes)
-        for model in models:
-            model.values[...] = averaged.values
+        averaged = average_params(matrix, [1.0] * num_nodes, cfg.arch)
+        matrix[...] = averaged.values
         transmissions += per_round
         if trace.after_send(round_num, transmissions, -1, averaged):
             break

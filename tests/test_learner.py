@@ -268,34 +268,37 @@ def test_evaluate_accuracy_in_unit_range():
 
 def test_average_single_model_identity():
     params = init_he(ArchSpec((3, 2)), 1)
-    assert np.array_equal(average_params([params], [1.0]).values, params.values)
+    assert np.array_equal(average_params(params.values[None, :], [1.0], params.arch).values,
+                          params.values)
 
 
 def test_average_identical_models_idempotent():
     params = init_he(ArchSpec((3, 2)), 1)
     other = ModelParams(params.arch, params.values.copy())
-    avg = average_params([params, other], [0.3, 0.9])
+    avg = average_params(np.stack([params.values, other.values]), [0.3, 0.9], params.arch)
     assert np.allclose(avg.values, params.values, atol=1e-15)
 
 
 def test_average_direct_arithmetic():
     arch = ArchSpec((1, 1))
-    a = ModelParams(arch, np.array([0.0, 0.0]))
-    b = ModelParams(arch, np.array([2.0, 4.0]))
-    assert average_params([a, b], [1.0, 1.0]).values.tolist() == [1.0, 2.0]
+    rows = np.array([[0.0, 0.0], [2.0, 4.0]])
+    assert average_params(rows, [1.0, 1.0], arch).values.tolist() == [1.0, 2.0]
 
 
 def test_average_arch_mismatch():
+    # rows of a 3-2 net are 8 long; a 2-2 net has 6 parameters
+    rows = np.stack([init_he(ArchSpec((3, 2)), 1).values] * 2)
     with pytest.raises(ValueError):
-        average_params([init_he(ArchSpec((3, 2)), 1), init_he(ArchSpec((2, 2)), 1)], [1, 1])
+        average_params(rows, [1, 1], ArchSpec((2, 2)))
 
 
 def test_average_rejects_bad_weights():
     params = init_he(ArchSpec((3, 2)), 1)
+    rows = np.stack([params.values, params.values])
     with pytest.raises(ValueError):
-        average_params([params, params], [1.0, -0.5])
+        average_params(rows, [1.0, -0.5], params.arch)
     with pytest.raises(ValueError):
-        average_params([params, params], [0.0, 0.0])
+        average_params(rows, [0.0, 0.0], params.arch)
 
 
 @settings(max_examples=30, deadline=None)
@@ -306,11 +309,27 @@ def test_average_rejects_bad_weights():
 def test_average_permutation_invariant(weights, seed):
     rng = np.random.default_rng(seed)
     arch = ArchSpec((3, 2))
-    models = [ModelParams(arch, rng.standard_normal(arch.num_params())) for _ in weights]
-    avg = average_params(models, weights)
+    rows = rng.standard_normal((len(weights), arch.num_params()))
+    avg = average_params(rows, weights, arch)
     order = rng.permutation(len(weights))
-    shuffled = average_params([models[i] for i in order], [weights[i] for i in order])
+    shuffled = average_params(rows[order], [weights[i] for i in order], arch)
     assert np.allclose(avg.values, shuffled.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "reversed"])
+def test_average_matches_stacked_rows_bit_for_bit(layout):
+    """The average is the gemv over the rows stacked in C order, whatever
+    layout the caller's matrix has."""
+    arch = ArchSpec((32, 128, 128, 10))
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((2, arch.num_params()))
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+    elif layout == "reversed":
+        rows = rows[::-1]
+    w = np.array([0.3, 0.9])
+    expected = (w / w.sum()) @ np.stack(list(rows))
+    assert average_params(rows, w, arch).values.tobytes() == expected.tobytes()
 
 
 # The numeric core as it stood before its allocation-lean rewrite, kept

@@ -66,15 +66,19 @@ def test_runtime_types_build_as_the_benchmark_builds_them(tmp_path):
     assert run_experiment(parsed, tmp_path / "out") == 0
 
 
-def _recording(monkeypatch, name):
+def _recording(monkeypatch, name, results=None):
     """Wrap ``tramfl.simulator.<name>`` as the benchmark's hooks do and
-    return the list of argument tuples it was called with."""
+    return the list of argument tuples it was called with; each return
+    value goes to ``results`` when given."""
     calls = []
     inner = getattr(tramfl.simulator, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
-        return inner(*args, **kwargs)
+        result = inner(*args, **kwargs)
+        if results is not None:
+            results.append(result)
+        return result
 
     monkeypatch.setattr(tramfl.simulator, name, wrapper)
     return calls
@@ -109,8 +113,9 @@ def test_router_arguments_as_the_benchmark_reads_them(monkeypatch):
 def test_learner_arguments_as_the_benchmark_reads_them(monkeypatch):
     """``Counters`` in ``perfbench/run.py`` reads ``args[0].arch`` and
     ``len(args[1])`` of ``loss_and_grad`` (batch rows) and of ``evaluate``
-    (test rows), and ``len(args[0])`` of ``average_params``; its step counts
-    assume one ``loss_and_grad`` call per SGD step."""
+    (test rows), and ``len(args[0])`` of ``average_params`` with the
+    ``values.nbytes`` of its result; its step counts assume one
+    ``loss_and_grad`` call per SGD step."""
     cfg = RunConfig(arch=ArchSpec((8, 16, 10)), learning_rate=0.05, batch_size=4,
                     interval=2, max_iterations=12, eval_every=3,
                     policy=PolicySpec("dynamic"))
@@ -118,8 +123,10 @@ def test_learner_arguments_as_the_benchmark_reads_them(monkeypatch):
     shards = make_shards(train, PartitionPlan("random_k", 4, k_min=1, k_max=3, seed=1))
     gossip_cfg = replace(cfg, max_iterations=3, eval_every=1, policy=PolicySpec("gossip"))
     for run, run_cfg, steps in ((run_tram_fl, cfg, 12), (run_gossip, gossip_cfg, 3 * len(shards))):
+        averages = []
         calls = {name: _recording(monkeypatch, name)
-                 for name in ("loss_and_grad", "sgd_step", "evaluate", "average_params")}
+                 for name in ("loss_and_grad", "sgd_step", "evaluate")}
+        calls["average_params"] = _recording(monkeypatch, "average_params", averages)
         run(shards, test, run_cfg)
         assert len(calls["loss_and_grad"]) == len(calls["sgd_step"]) == steps
         assert calls["evaluate"]
@@ -129,3 +136,5 @@ def test_learner_arguments_as_the_benchmark_reads_them(monkeypatch):
         assert all(len(args[1]) == len(test) for args in calls["evaluate"])
         rounds = 3 if run is run_gossip else 0
         assert [len(args[0]) for args in calls["average_params"]] == [len(shards)] * rounds
+        assert all(args[0].ndim == 2 for args in calls["average_params"])
+        assert [avg.values.nbytes for avg in averages] == [8 * cfg.arch.num_params()] * rounds

@@ -243,6 +243,14 @@ def test_gossip_needs_two_nodes_and_data(small_task):
         run_gossip(shards, test, _cfg(policy=PolicySpec("gossip")))
 
 
+@pytest.mark.parametrize("policy", [PolicySpec("dynamic"), PolicySpec("random"),
+                                    PolicySpec("static", (0, 1))], ids=lambda p: p.name())
+def test_gossip_rejects_another_policy(small_task, policy):
+    train, test = small_task
+    with pytest.raises(ValueError, match="run_gossip runs gossip"):
+        run_gossip(split_contiguous_labels(train, 2), test, _cfg(policy=policy))
+
+
 def test_gossip_round_equals_averaged_gradient_step(small_task):
     """Full-mesh averaging each round collapses to one mean-gradient update."""
     train, test = small_task

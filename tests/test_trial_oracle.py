@@ -123,8 +123,7 @@ def reference_gossip(shards, test_set, cfg):
             _, grad = loss_and_grad(ModelParams(cfg.arch, models[i]),
                                     shard.features[idx], shard.labels[idx])
             models[i] = models[i] - cfg.learning_rate * grad
-        averaged = average_params([ModelParams(cfg.arch, m) for m in models],
-                                  [1.0] * num_nodes).values
+        averaged = average_params(np.stack(models), [1.0] * num_nodes, cfg.arch).values
         models = [averaged.copy() for _ in shards]
         transmissions += per_round
         if round_num in schedule and trace.evaluate(round_num, transmissions, -1, averaged):
