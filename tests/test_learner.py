@@ -274,8 +274,8 @@ def test_average_single_model_identity():
 
 def test_average_identical_models_idempotent():
     params = init_he(ArchSpec((3, 2)), 1)
-    other = ModelParams(params.arch, params.values.copy())
-    avg = average_params(np.stack([params.values, other.values]), [0.3, 0.9], params.arch)
+    rows = np.stack([params.values, params.values.copy()])
+    avg = average_params(rows, [0.3, 0.9], params.arch)
     assert np.allclose(avg.values, params.values, atol=1e-15)
 
 
