@@ -3,7 +3,9 @@
 ``tramfl run <config> --out <dir>`` builds the dataset and partition, runs
 every configured policy for the configured number of trials, writes one
 ``results_<label>.csv`` per policy plus a ``summary.json``, and prints a
-comparison table ordered by mean transmissions-to-target. A ``results_*.csv``
+comparison table ordered by mean transmissions-to-target. A policy's trials
+are dropped once its CSV is written, so a run holds one policy's results at
+a time however many routes ``static:all`` expands to. A ``results_*.csv``
 that an earlier run left in ``<dir>`` for a label no longer configured is
 removed. A trial whose test loss stops being finite ends there as diverged
 and gets a warning on stderr; then the run also writes ``status.json``, the
@@ -120,11 +122,37 @@ def _write_checkpoint(params: ModelParams, path) -> None:
 
 def _print_table(rows) -> None:
     print(f"{'policy':<24} {'mean':>12} {'std':>10} {'reached':>8}")
-    for label, summary in rows:
-        mean = f"{summary.mean:.2f}" if summary.mean is not None else "-"
-        std = f"{summary.std:.2f}" if summary.std is not None else "-"
-        reached = f"{summary.n_reached}/{summary.n_trials}"
+    for label, entry in rows:
+        mean = f"{entry['mean']:.2f}" if entry["mean"] is not None else "-"
+        std = f"{entry['std']:.2f}" if entry["std"] is not None else "-"
+        reached = f"{entry['n_reached']}/{entry['n_trials']}"
         print(f"{label:<24} {mean:>12} {std:>10} {reached:>8}")
+
+
+def _run_policy(cfg: ExperimentConfig, label, spec, shards, test, out_dir):
+    """Run one policy's trials, write its CSV and warn of each diverged trial.
+
+    Returns what the rest of the run reads: the policy's summary.json entry,
+    its status counts and the last trial's final params. The trials
+    themselves die with this frame."""
+    # A diverging trial is reported once, below, not by numpy's overflow warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = run_trials(shards, test, replace(cfg.run, policy=spec), num_trials=cfg.trials)
+    _write_results_csv(os.path.join(out_dir, f"results_{label}.csv"), summary)
+    for trial, result in enumerate(summary.results):
+        if result.status == "diverged":
+            rec = result.records[-1]
+            print(f"warning: {label} trial {trial} diverged: test loss {rec.test_loss!r} "
+                  f"at transmission {rec.transmissions}", file=sys.stderr)
+    entry = {
+        "mean": summary.mean,
+        "std": summary.std,
+        "n_trials": summary.n_trials,
+        "n_reached": summary.n_reached,
+        "per_trial": summary.per_trial,
+    }
+    statuses = {name: sum(r.status == name for r in summary.results) for name in TRIAL_STATUSES}
+    return entry, statuses, summary.results[-1].final_params
 
 
 def run_experiment(
@@ -144,49 +172,25 @@ def run_experiment(
     _check_shards_visitable(cfg, shards)
     os.makedirs(out_dir, exist_ok=True)
 
-    summaries: list[tuple[str, TrialsSummary]] = []
+    entries, statuses = {}, {}
     last_params = None
-    diverged = False
     for label, spec in cfg.policies:
-        # A diverging trial is reported once, below, not by numpy's overflow warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            summary = run_trials(shards, test, replace(cfg.run, policy=spec), num_trials=cfg.trials)
-        _write_results_csv(os.path.join(out_dir, f"results_{label}.csv"), summary)
-        summaries.append((label, summary))
-        last_params = summary.results[-1].final_params
-        for trial, result in enumerate(summary.results):
-            if result.status == "diverged":
-                diverged = True
-                rec = result.records[-1]
-                print(f"warning: {label} trial {trial} diverged: test loss {rec.test_loss!r} "
-                      f"at transmission {rec.transmissions}", file=sys.stderr)
+        entries[label], statuses[label], last_params = _run_policy(
+            cfg, label, spec, shards, test, out_dir)
+    diverged = any(counts["diverged"] for counts in statuses.values())
 
-    payload = {
-        label: {
-            "mean": s.mean,
-            "std": s.std,
-            "n_trials": s.n_trials,
-            "n_reached": s.n_reached,
-            "per_trial": s.per_trial,
-        }
-        for label, s in summaries
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), payload)
+    _write_json(os.path.join(out_dir, "summary.json"), entries)
     status_path = os.path.join(out_dir, "status.json")
     if diverged:
-        _write_json(status_path, {
-            label: {name: sum(r.status == name for r in s.results) for name in TRIAL_STATUSES}
-            for label, s in summaries
-        })
+        _write_json(status_path, statuses)
     elif os.path.exists(status_path):
         os.remove(status_path)
-    written = {f"results_{label}.csv" for label, _ in summaries}
+    written = {f"results_{label}.csv" for label in entries}
     for name in os.listdir(out_dir):
         if name.startswith("results_") and name.endswith(".csv") and name not in written:
             os.remove(os.path.join(out_dir, name))
 
-    ordered = sorted(summaries, key=lambda row: (row[1].mean is None, row[1].mean))
-    _print_table(ordered)
+    _print_table(sorted(entries.items(), key=lambda row: (row[1]["mean"] is None, row[1]["mean"])))
     if dump_model is not None:
         _write_checkpoint(last_params, dump_model)
     return 3 if diverged else 0

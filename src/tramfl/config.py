@@ -314,6 +314,19 @@ def _build_policies(raw_sections, nodes) -> tuple[tuple[str, PolicySpec], ...]:
     return tuple(policies)
 
 
+def _check_sends(run: RunConfig, policies) -> None:
+    """A traveling model is sent once per ``interval`` iterations, so a run
+    shorter than one interval would never send it; gossip exchanges every
+    iteration and is exempt."""
+    traveling = [(label, spec.kind) for label, spec in policies if spec.kind != "gossip"]
+    if traveling and run.max_iterations < run.interval:
+        label, kind = traveling[0]
+        raise ConfigError(
+            f"run.iterations: {run.max_iterations} is less than run.interval {run.interval}, "
+            f"so policies.{label} ({kind}) would never send the model"
+        )
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError naming the field."""
     raw_sections = _read_sections(text)
@@ -329,6 +342,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     _check_learner(learner, dataset)
     run, trials = _build_run(learner, _take_section(raw_sections, "run"))
     policies = _build_policies(raw_sections, partition.nodes)
+    _check_sends(run, policies)
     return ExperimentConfig(dataset, partition, run, trials, policies)
 
 

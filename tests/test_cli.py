@@ -1,10 +1,13 @@
+import gc
 import io
 import json
 import math
 import os
 import re
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tramfl import enumerate_static_routes, parse_config
+from tramfl import cli, enumerate_static_routes, parse_config
 from tramfl.cli import main, run_experiment
+from tramfl.learner import ArchSpec, ModelParams
+from tramfl.simulator import params_digest
 
 SMOKE_TEXT = """
 [dataset]
@@ -126,7 +131,26 @@ def test_byte_identical_reruns(smoke_config, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_main_success_and_dump_model(smoke_config, tmp_path):
+def _wrap_run_trials(monkeypatch, before=None, after=None):
+    """Wrap ``cli.run_trials``: ``before(cfg)`` may return a replacement
+    RunConfig, ``after(summary)`` sees each policy's TrialsSummary."""
+    real = cli.run_trials
+
+    def wrapped(shards, test, cfg, **kwargs):
+        cfg = (before and before(cfg)) or cfg
+        summary = real(shards, test, cfg, **kwargs)
+        if after is not None:
+            after(summary)
+        return summary
+
+    monkeypatch.setattr(cli, "run_trials", wrapped)
+
+
+def test_main_success_and_dump_model(smoke_config, tmp_path, monkeypatch):
+    """The dump is the final model of the last trial of the last policy."""
+    digests = []
+    _wrap_run_trials(monkeypatch, after=lambda summary: digests.append(
+        [r.final_params_digest for r in summary.results]))
     out = tmp_path / "out"
     model_path = tmp_path / "model.bin"
     code = main(["run", str(smoke_config), "--out", str(out), "--dump-model", str(model_path)])
@@ -138,6 +162,56 @@ def test_main_success_and_dump_model(smoke_config, tmp_path):
     values = np.frombuffer(raw[8 + 8 * n_layers :], "<f8")
     assert values.shape == (4 * 16 + 16 * 4 + 16 + 4,)
     assert np.all(np.isfinite(values))
+    assert len(digests) == 3 and all(len(d) == 3 for d in digests)
+    assert len({d for per_policy in digests for d in per_policy}) == 9
+    assert params_digest(ModelParams(ArchSpec(tuple(sizes)), values)) == digests[-1][-1]
+
+
+def test_run_experiment_drops_each_policys_trials(smoke_config, tmp_path, monkeypatch):
+    """Once a policy starts, no TrialResult of an earlier policy is alive."""
+    refs, alive_at_start = [], []
+
+    def before(cfg):
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in refs))
+
+    _wrap_run_trials(monkeypatch, before=before,
+                     after=lambda summary: refs.extend(map(weakref.ref, summary.results)))
+    smoke_config.write_text(smoke_config.read_text().replace("iterations = 200", "iterations = 20"))
+    with redirect_stdout(io.StringIO()):
+        assert run_experiment(parse_config(smoke_config), tmp_path / "out") == 0
+    assert len(refs) == 9
+    assert alive_at_start == [0, 0, 0]
+
+
+def test_one_diverging_policy_in_a_mixed_run(smoke_config, tmp_path, monkeypatch, capsys):
+    """Only the middle policy diverges: it alone is counted so in status.json,
+    and the other policies' summaries are those of a run without it."""
+    smoke_config.write_text(smoke_config.read_text().replace("iterations = 200", "iterations = 60"))
+    clean = tmp_path / "clean"
+    assert main(["run", str(smoke_config), "--out", str(clean)]) == 0
+    capsys.readouterr()
+    _wrap_run_trials(monkeypatch, before=lambda cfg: replace(cfg, learning_rate=1e308)
+                     if cfg.policy.kind == "random" else None)
+    out = tmp_path / "out"
+    assert main(["run", str(smoke_config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: random trial {trial} diverged: test loss nan at transmission 1"
+        for trial in range(3)]
+    assert json.loads((out / "status.json").read_text()) == {
+        "dynamic": {"reached": 3, "budget_exhausted": 0, "diverged": 0},
+        "random": {"reached": 0, "budget_exhausted": 0, "diverged": 3},
+        "gossip": {"reached": 3, "budget_exhausted": 0, "diverged": 0},
+    }
+    summary = json.loads((out / "summary.json").read_text())
+    clean_summary = json.loads((clean / "summary.json").read_text())
+    assert list(summary) == ["dynamic", "random", "gossip"]
+    for label in ("dynamic", "gossip"):
+        assert summary[label] == clean_summary[label]
+        assert (out / f"results_{label}.csv").read_bytes() == (
+            clean / f"results_{label}.csv").read_bytes()
+    assert summary["random"] == {"mean": None, "std": None, "n_trials": 3, "n_reached": 0,
+                                 "per_trial": [None, None, None]}
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

@@ -449,6 +449,13 @@ SINGLE_FAULTS = [
      "run.iterations/interval/eval_every/trials: must be >= 1"),
     ("target_range", FULL_TEXT, "target_accuracy = 0.9", "target_accuracy = 0",
      "run.target_accuracy: must be in (0, 1], got 0.0"),
+    ("iterations_below_interval", FULL_TEXT, "iterations = 300", "iterations = 1",
+     "run.iterations: 1 is less than run.interval 2, so policies.dynamic (dynamic) would never "
+     "send the model"),
+    ("iterations_below_interval_static",
+     FULL_TEXT.replace("dynamic = dynamic\nrandom = random\n", ""), "iterations = 300", "iterations = 1",
+     "run.iterations: 1 is less than run.interval 2, so policies.ring (static) would never "
+     "send the model"),
     ("policy_label", FULL_TEXT, "random = random", "ran.dom = random",
      "policies.ran.dom: label must match [A-Za-z0-9_-]+"),
     ("policy_kind", FULL_TEXT, "random = random", "random = clairvoyant",
@@ -496,8 +503,13 @@ RANGE_BOUNDARIES = [
     ("partition_seed", FULL_TEXT, "seed = 2\n", "seed = 0\n", lambda c: c.partition.seed, 0),
     ("eta", FULL_TEXT, "eta = 0.05", "eta = 5e-324", lambda c: c.run.learning_rate, 5e-324),
     ("batch", FULL_TEXT, "batch = 8", "batch = 1", lambda c: c.run.batch_size, 1),
-    ("iterations", FULL_TEXT, "iterations = 300", "iterations = 1",
-     lambda c: c.run.max_iterations, 1),
+    ("iterations", FULL_TEXT.replace("interval = 2", "interval = 1"), "iterations = 300",
+     "iterations = 1", lambda c: c.run.max_iterations, 1),
+    ("iterations_at_interval", FULL_TEXT, "iterations = 300", "iterations = 2",
+     lambda c: c.run.max_iterations, 2),
+    ("iterations_below_interval_gossip_only",
+     FULL_TEXT.replace("dynamic = dynamic\nrandom = random\nring = static:0,1,2\n", ""),
+     "iterations = 300", "iterations = 1", lambda c: c.run.max_iterations, 1),
     ("interval", FULL_TEXT, "interval = 2", "interval = 1", lambda c: c.run.interval, 1),
     ("eval_every", FULL_TEXT.replace("eval_every = 1", "eval_every = 3"), "eval_every = 3",
      "eval_every = 1", lambda c: c.run.eval_every, 1),
