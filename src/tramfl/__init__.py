@@ -12,7 +12,6 @@ from .datasets import (
     draw_minibatch,
     generate_synthetic,
     generate_synthetic_split,
-    histogram,
     load_csv,
     save_csv,
 )

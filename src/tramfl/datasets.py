@@ -69,9 +69,6 @@ class LabelHistogram:
             return NotImplemented
         return np.array_equal(self.counts, other.counts)
 
-    def total(self) -> float:
-        return float(self.counts.sum())
-
 
 def generate_synthetic(
     num_classes: int, dims: int, per_class: int, separation: float, seed: int
@@ -190,18 +187,6 @@ def save_csv(ds: LabeledDataset, path, header: bool = False) -> None:
             handle.write(f"{label}," + ",".join(repr(v) for v in row) + "\n")
 
 
-def _num_classes_of(data) -> int:
-    num_classes = getattr(data, "num_classes", None)
-    if num_classes is not None:
-        return num_classes
-    return len(data.hist.counts)
-
-
-def histogram(data) -> LabelHistogram:
-    """Per-class sample counts of a dataset or shard."""
-    return LabelHistogram(np.bincount(data.labels, minlength=_num_classes_of(data)))
-
-
 def draw_minibatch(shard, batch_size: int, rng: np.random.Generator):
     """Draw a batch of rows from a shard and report its label counts.
 
@@ -210,7 +195,9 @@ def draw_minibatch(shard, batch_size: int, rng: np.random.Generator):
     call advances ``rng``.
 
     Returns ``(idx, counts)``: the batch is ``shard.features[idx]`` with
-    labels ``shard.labels[idx]``, and ``counts`` sums to ``batch_size``.
+    labels ``shard.labels[idx]``. ``counts`` is the int array of the batch's
+    label counts, one entry per class of the shard (``len(shard.hist.counts)``),
+    and sums to ``batch_size``.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -219,5 +206,4 @@ def draw_minibatch(shard, batch_size: int, rng: np.random.Generator):
         raise StateError("cannot draw a minibatch from an empty shard")
     replace = population < batch_size
     idx = rng.choice(population, size=batch_size, replace=replace)
-    counts = np.bincount(shard.labels[idx], minlength=_num_classes_of(shard))
-    return idx, LabelHistogram(counts)
+    return idx, np.bincount(shard.labels[idx], minlength=len(shard.hist.counts))

@@ -291,20 +291,16 @@ def finite_diff_check(params: ModelParams, features, labels, eps: float) -> floa
     return worst
 
 
-def average_params(rows, weights, arch: ArchSpec) -> ModelParams:
-    """Convex combination of parameter vectors with normalized weights.
+def average_params(rows, arch: ArchSpec) -> ModelParams:
+    """Unweighted average of parameter vectors.
 
     ``rows`` is a (V, P) matrix whose row i is model i's flat parameter
-    vector for ``arch``. The average is one ``w @ rows`` over a C-ordered
-    float64 copy of it; a C-contiguous float64 matrix is used as it is.
+    vector for ``arch``. The average is one gemv, ``np.full(V, 1 / V) @ rows``,
+    over a C-ordered float64 copy of it; a C-contiguous float64 matrix is used
+    as it is. ``rows.mean(axis=0)`` would sum in another order and change the
+    bits.
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != arch.num_params():
+    if rows.ndim != 2 or not len(rows) or rows.shape[1] != arch.num_params():
         raise ValueError(f"need a (models, {arch.num_params()}) matrix, got shape {rows.shape}")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(rows),):
-        raise ValueError(f"need {len(rows)} weights, got shape {w.shape}")
-    if np.any(w < 0) or not w.sum() > 0:
-        raise ValueError("weights must be nonnegative with positive sum")
-    w = w / w.sum()
-    return ModelParams(arch, w @ rows)
+    return ModelParams(arch, np.full(len(rows), 1.0 / len(rows)) @ rows)

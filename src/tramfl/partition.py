@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import LabeledDataset, LabelHistogram, histogram
+from .datasets import LabeledDataset, LabelHistogram
 from .errors import StateError
 
 # rejection-sampling cap for the label-coverage constraint
@@ -158,7 +158,7 @@ def split_exponential_binary(
 
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    class_totals = histogram(ds).counts.astype(int)
+    class_totals = np.bincount(ds.labels, minlength=ds.num_classes)
     density = np.array([math.exp(-rate * v) for v in range(num_nodes)])
     ccm = np.array([1.0 - math.exp(-rate * (v + 1)) for v in range(num_nodes)])
     table = []

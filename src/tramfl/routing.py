@@ -127,15 +127,16 @@ def next_random(num_nodes: int, holder: int, rng: np.random.Generator) -> int:
     return pick if pick < holder else pick + 1
 
 
-def update_ledger(state: RoutingState, batch_counts: LabelHistogram) -> RoutingState:
-    """Fold one batch's realized label counts into the ledger."""
-    if batch_counts.counts.shape != state.cumulative.counts.shape:
+def update_ledger(state: RoutingState, batch_counts: np.ndarray) -> RoutingState:
+    """Fold one batch's realized label counts, the array
+    :func:`~tramfl.datasets.draw_minibatch` returns, into a new ledger."""
+    if batch_counts.shape != state.cumulative.counts.shape:
         raise ValueError(
-            f"batch counts length {batch_counts.counts.shape[0]} does not match "
+            f"batch counts length {batch_counts.shape[0]} does not match "
             f"ledger length {state.cumulative.counts.shape[0]}"
         )
     return RoutingState(
-        cumulative=LabelHistogram(state.cumulative.counts + batch_counts.counts),
+        cumulative=LabelHistogram(state.cumulative.counts + batch_counts),
         holder=state.holder,
     )
 

@@ -85,6 +85,10 @@ class RunConfig:
             raise ValueError("batch_size, interval, max_iterations, eval_every must be >= 1")
         if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
             raise ValueError(f"target_accuracy must be in (0, 1], got {self.target_accuracy}")
+        traveling = self.policy is not None and self.policy.kind != "gossip"
+        if traveling and self.max_iterations < self.interval:
+            raise ValueError(f"max_iterations {self.max_iterations} is less than interval "
+                             f"{self.interval}, so {self.policy.kind} would never send the model")
 
 
 @dataclass(frozen=True)
@@ -150,25 +154,31 @@ class _EvalTrace:
         if bucket <= self.bucket:
             return False
         self.bucket = bucket
-        return self._evaluate(iteration, transmissions, holder, params)
+        accuracy = self._evaluate(iteration, transmissions, holder, params)
+        target = self.cfg.target_accuracy
+        if not self.diverged and target is not None and accuracy >= target:
+            self.reached = transmissions
+        return self.diverged or self.reached is not None
 
-    def _evaluate(self, iteration, transmissions, holder, params) -> bool:
+    def _evaluate(self, iteration, transmissions, holder, params) -> float:
+        """Record one evaluation and return its accuracy; a loss that is not
+        finite marks the trial diverged."""
         accuracy, loss = evaluate(params, self.test_set, workspace=self.workspace)
         # Plain floats, so a numpy scalar never reaches the CSV's repr().
         accuracy, loss = float(accuracy), float(loss)
         self.records.append(EvalRecord(iteration, transmissions, holder, accuracy, loss))
         if not math.isfinite(loss):
             self.diverged = True
-            return True
-        target = self.cfg.target_accuracy
-        if target is not None and accuracy >= target:
-            self.reached = transmissions
-        return self.reached is not None
+        return accuracy
 
     def result(self, transmissions: int, holder: int, params, ledger=None) -> TrialResult:
         """Evaluate at termination unless the last send was already
         evaluated (as it is when the target or a non-finite loss stopped the
-        run), then package the trial."""
+        run), then package the trial.
+
+        The terminal evaluation is off the ``eval_every`` cadence, so a
+        target hit there is recorded but not counted: where the budget ends
+        must not decide ``transmissions_to_target``."""
         evaluated = self.records and self.records[-1].transmissions == transmissions
         if not evaluated:
             self._evaluate(self.cfg.max_iterations, transmissions, holder, params)
@@ -186,7 +196,8 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     initial holder (uniform over nonempty shards), every minibatch draw, and
     any random routing choices. Evaluates after every `eval_every`-th
     transmission and at termination; stops early once `target_accuracy` is
-    reached at an evaluation point. The one model is trained in place, in a
+    reached at one of the every-`eval_every` evaluations (a hit at the
+    terminal one is not counted). The one model is trained in place, in a
     workspace built for the trial; the trace evaluates in its own.
     """
     policy = cfg.policy
@@ -276,7 +287,7 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
             _, grad = loss_and_grad(models[i], shard.features[idx], shard.labels[idx],
                                     workspace=workspace)
             sgd_step(models[i], grad, cfg.learning_rate)
-        averaged = average_params(matrix, [1.0] * num_nodes, cfg.arch)
+        averaged = average_params(matrix, cfg.arch)
         matrix[...] = averaged.values
         transmissions += per_round
         if trace.after_send(round_num, transmissions, -1, averaged):

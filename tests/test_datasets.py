@@ -13,7 +13,6 @@ from tramfl import (
     draw_minibatch,
     generate_synthetic,
     generate_synthetic_split,
-    histogram,
     init_he,
     load_csv,
     loss_and_grad,
@@ -27,7 +26,7 @@ from tramfl.partition import make_shard, split_contiguous_labels
 def test_generate_counts_and_histogram():
     ds = generate_synthetic(2, 2, 5, 3.0, 7)
     assert len(ds) == 10
-    assert histogram(ds).counts.tolist() == [5.0, 5.0]
+    assert np.bincount(ds.labels).tolist() == [5, 5]
 
 
 def test_generate_deterministic():
@@ -67,8 +66,8 @@ def test_generate_centralized_training_oracle():
 
 def test_generate_split_shares_class_means():
     train, test = generate_synthetic_split(10, 3, 30, 10, 5.0, 2)
-    assert histogram(train).counts.tolist() == [30.0] * 10
-    assert histogram(test).counts.tolist() == [10.0] * 10
+    assert np.bincount(train.labels).tolist() == [30] * 10
+    assert np.bincount(test.labels).tolist() == [10] * 10
     # class centroids of the two halves agree (same blobs, unit noise)
     for c in range(10):
         mean_train = np.mean(train.features[train.labels == c], axis=0)
@@ -138,23 +137,23 @@ def test_csv_non_integer_label(tmp_path):
 
 def test_histogram_direct_count():
     ds = LabeledDataset(np.zeros((4, 1)), [0, 0, 1, 2], 3, 1)
-    assert histogram(ds).counts.tolist() == [2.0, 1.0, 1.0]
+    assert make_shard(0, ds, np.arange(4)).hist.counts.tolist() == [2.0, 1.0, 1.0]
 
 
 def test_histogram_empty_dataset():
     ds = LabeledDataset(np.zeros((0, 1)), [], 3, 1)
-    assert histogram(ds).counts.tolist() == [0.0, 0.0, 0.0]
+    assert make_shard(0, ds, []).hist.counts.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_histogram_benchmark_scale_shard(mnist_shaped):
     shards = split_contiguous_labels(mnist_shaped, 3)
-    assert histogram(shards[2]).total() == 24000
+    assert shards[2].hist.counts.sum() == 24000
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4), max_size=60))
 def test_histogram_sums_to_sample_count(labels):
     ds = LabeledDataset(np.zeros((len(labels), 1)), labels, 5, 1)
-    assert histogram(ds).total() == len(labels)
+    assert make_shard(0, ds, np.arange(len(labels))).hist.counts.sum() == len(labels)
 
 
 def _single_label_shard(label, num_classes, count):
@@ -165,7 +164,12 @@ def _single_label_shard(label, num_classes, count):
 def test_minibatch_single_label_counts():
     shard = _single_label_shard(3, 4, 10)
     _, counts = draw_minibatch(shard, 4, np.random.default_rng(0))
-    assert counts.counts.tolist() == [0.0, 0.0, 0.0, 4.0]
+    assert counts.dtype.kind == "i"
+    assert counts.tolist() == [0, 0, 0, 4]
+    # the shard's class count, not the largest label drawn, fixes the length
+    _, counts = draw_minibatch(_single_label_shard(0, 4, 10), 6, np.random.default_rng(0))
+    assert counts.tolist() == [6, 0, 0, 0]
+    assert counts.sum() == 6
 
 
 def test_minibatch_exhaustion_is_permutation():
@@ -173,14 +177,14 @@ def test_minibatch_exhaustion_is_permutation():
     shard = split_contiguous_labels(ds, 1)[0]
     idx, counts = draw_minibatch(shard, shard.total, np.random.default_rng(2))
     assert collections.Counter(idx.tolist()) == collections.Counter(range(shard.total))
-    assert counts.total() == shard.total
+    assert counts.sum() == shard.total
 
 
 def test_minibatch_small_shard_falls_back_to_replacement():
     shard = _single_label_shard(0, 2, 3)
     idx, counts = draw_minibatch(shard, 5, np.random.default_rng(0))
     assert len(idx) == 5
-    assert counts.total() == 5
+    assert counts.sum() == 5
 
 
 def test_minibatch_empty_shard_error():
@@ -221,8 +225,8 @@ def test_minibatch_label_mean_converges():
     totals = np.zeros(2)
     for _ in range(draws):
         _, counts = draw_minibatch(shard, 10, rng)
-        assert counts.total() == 10
-        totals += counts.counts
+        assert counts.sum() == 10
+        totals += counts
     means = totals / draws
     # binomial standard error of the mean at p=0.5, B=10
     three_sigma = 3 * np.sqrt(10 * 0.25) / np.sqrt(draws)
@@ -237,4 +241,4 @@ def test_minibatch_counts_sum_to_batch_size(batch_size, seed):
     ds = generate_synthetic(3, 2, 8, 3.0, 1)
     shard = split_contiguous_labels(ds, 1)[0]
     _, counts = draw_minibatch(shard, batch_size, np.random.default_rng(seed))
-    assert counts.total() == batch_size
+    assert counts.sum() == batch_size

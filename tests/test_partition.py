@@ -3,7 +3,6 @@ import pytest
 
 from tramfl import (
     generate_synthetic,
-    histogram,
     split_contiguous_labels,
     split_exponential_binary,
     split_random_k_labels,
@@ -46,7 +45,7 @@ def test_contiguous_is_a_partition():
     shards = split_contiguous_labels(ds, 3)
     assert sum(s.total for s in shards) == len(ds)
     merged = sum(s.hist.counts for s in shards)
-    assert merged.tolist() == histogram(ds).counts.tolist()
+    assert merged.tolist() == np.bincount(ds.labels).tolist()
     # the blob rows are all distinct, so a row identifies its sample
     seen = [(y, *row) for s in shards for y, row in zip(s.labels.tolist(), s.features.tolist())]
     assert len(seen) == len(set(seen)) == len(ds)
@@ -56,15 +55,15 @@ def test_contiguous_is_a_partition():
 def test_contiguous_shard_invariants():
     ds = generate_synthetic(5, 2, 6, 2.0, 5)
     for shard in split_contiguous_labels(ds, 2):
-        assert shard.total == len(shard.labels) == len(shard.features) == shard.hist.total()
-        assert histogram(shard) == shard.hist
+        assert shard.total == len(shard.labels) == len(shard.features) == shard.hist.counts.sum()
+        assert shard.hist.counts.tolist() == np.bincount(shard.labels, minlength=5).tolist()
 
 
 def test_random_k_forced_perfect_partition():
     ds = generate_synthetic(10, 2, 3, 2.0, 0)
     shards = split_random_k_labels(ds, 5, 2, 2, np.random.default_rng(1))
     merged = sum(s.hist.counts for s in shards)
-    assert merged.tolist() == histogram(ds).counts.tolist()  # each label exactly once
+    assert merged.tolist() == np.bincount(ds.labels).tolist()  # each label exactly once
 
 
 def test_random_k_single_node_identity():
@@ -103,7 +102,7 @@ def test_random_k_bad_range():
 
 def test_random_k_duplicates_shared_labels():
     ds = generate_synthetic(4, 2, 6, 2.0, 0)
-    full = histogram(ds).counts
+    full = np.bincount(ds.labels)
     # find a seed where some label is held by more than one node
     for seed in range(50):
         shards = split_random_k_labels(ds, 3, 2, 3, np.random.default_rng(seed))

@@ -48,9 +48,11 @@ def _cfg(**kwargs):
 def test_transmissions_are_floor_k_over_t(small_task):
     train, test = small_task
     shards = split_contiguous_labels(train, 2)
-    for max_iterations, interval, expected in ((12, 4, 3), (14, 4, 3), (5, 1, 5), (3, 4, 0)):
+    for max_iterations, interval, expected in ((12, 4, 3), (14, 4, 3), (5, 1, 5), (4, 4, 1)):
         result = run_tram_fl(shards, test, _cfg(max_iterations=max_iterations, interval=interval))
         assert result.records[-1].transmissions == expected
+    with pytest.raises(ValueError, match="never send"):  # floor(3 / 4) = 0 sends
+        _cfg(max_iterations=3, interval=4)
 
 
 def test_record_fields_and_ordering(small_task):
@@ -167,7 +169,8 @@ def test_ledger_accounts_every_batch(small_task):
     shards = split_contiguous_labels(train, 2)
     cfg = _cfg(max_iterations=25, interval=3, batch_size=5)
     result = run_tram_fl(shards, test, cfg)
-    assert result.ledger.total() == 25 * 5
+    assert result.ledger.counts.sum() == 25 * 5
+    assert result.ledger.counts.dtype == np.float64  # perfbench's _cv reads it as floats
 
 
 def test_eval_cadence_strictly_increasing(small_task):
@@ -190,6 +193,34 @@ def test_terminal_evaluation_when_cadence_misses_end(small_task):
     result = run_tram_fl(shards, test, _cfg(max_iterations=10, interval=1, eval_every=3))
     assert [r.transmissions for r in result.records] == [3, 6, 9, 10]
     assert [r.iteration for r in result.records] == [3, 6, 9, 10]
+
+
+def test_terminal_evaluation_does_not_count_the_target(small_task):
+    train, test = small_task
+    shards = split_contiguous_labels(train, 2)
+    # 4 sends, eval every 5: the only record is the terminal one, off the grid
+    result = run_tram_fl(shards, test, _cfg(max_iterations=4, eval_every=5, target_accuracy=0.05))
+    assert [(r.iteration, r.transmissions) for r in result.records] == [(4, 4)]
+    assert result.records[0].test_accuracy >= 0.05
+    assert result.transmissions_to_target is None
+    assert result.status == "budget_exhausted"
+    # two gossip rounds of 2 sends each, eval every 5: terminal record at 4
+    result = run_gossip(shards, test, _cfg(max_iterations=2, eval_every=5, target_accuracy=0.05,
+                                           policy=PolicySpec("gossip")))
+    assert [r.transmissions for r in result.records] == [4]
+    assert result.records[0].test_accuracy >= 0.05
+    assert result.status == "budget_exhausted"
+
+
+def test_run_config_rejects_a_budget_without_a_send(small_task):
+    train, test = small_task
+    shards = split_contiguous_labels(train, 2)
+    with pytest.raises(ValueError, match="never send"):  # before run_trials could report [0, 0]
+        run_trials(shards, test, _cfg(policy=PolicySpec("random"), interval=5, max_iterations=3,
+                                      target_accuracy=0.05), num_trials=2)
+    # gossip exchanges every round, and an unset policy is checked when set
+    _cfg(policy=PolicySpec("gossip"), interval=5, max_iterations=3)
+    _cfg(policy=None, interval=5, max_iterations=3)
 
 
 def test_early_stop_records_target(small_task):

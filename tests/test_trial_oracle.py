@@ -4,8 +4,9 @@ The reference below re-states the rules of ``run_tram_fl`` and
 ``run_gossip`` one step at a time: the order of the rng draws (initial
 holder, then per iteration the batch and, under ``random``, the next node),
 the ledger updated before the router runs, the evaluation schedule, the
-target and divergence stops with the terminal evaluation, and gossip copying
-the round average back into every node. It shares only the library's
+target and divergence stops with the terminal evaluation (which records a
+target hit but does not count it), and gossip copying the round average
+back into every node. It shares only the library's
 building blocks: ``draw_minibatch``, and ``loss_and_grad``, ``evaluate`` and
 ``average_params`` without a workspace. It steps out of place and routes
 with ``test_routing.sequential_select``, a scan of ``dispersion`` in node
@@ -52,21 +53,23 @@ class Trace:
         self.test_set, self.cfg = test_set, cfg
         self.records, self.reached, self.diverged = [], None, False
 
-    def evaluate(self, iteration, transmissions, holder, values):
+    def evaluate(self, iteration, transmissions, holder, values, terminal=False):
         """Append a record; True if the trial stops here."""
         accuracy, loss = evaluate(ModelParams(self.cfg.arch, values), self.test_set)
         self.records.append((iteration, transmissions, holder, float(accuracy), float(loss)))
         if not math.isfinite(loss):
             self.diverged = True
             return True
-        if self.cfg.target_accuracy is not None and accuracy >= self.cfg.target_accuracy:
+        if terminal or self.cfg.target_accuracy is None:
+            return False
+        if accuracy >= self.cfg.target_accuracy:
             self.reached = transmissions
             return True
         return False
 
     def finish(self, transmissions, holder, values, ledger):
         if not self.records or self.records[-1][1] != transmissions:
-            self.evaluate(self.cfg.max_iterations, transmissions, holder, values)
+            self.evaluate(self.cfg.max_iterations, transmissions, holder, values, terminal=True)
         status = "diverged" if self.diverged else (
             "budget_exhausted" if self.reached is None else "reached")
         return self.records, self.reached, values, status, ledger
@@ -89,7 +92,7 @@ def reference_tram_fl(shards, test_set, cfg):
         _, grad = loss_and_grad(ModelParams(cfg.arch, values),
                                 shard.features[idx], shard.labels[idx])
         values = values - cfg.learning_rate * grad
-        ledger = ledger + counts.counts
+        ledger = ledger + counts
         if iteration % cfg.interval != 0:
             continue
         if policy.kind == "dynamic":
@@ -123,7 +126,7 @@ def reference_gossip(shards, test_set, cfg):
             _, grad = loss_and_grad(ModelParams(cfg.arch, models[i]),
                                     shard.features[idx], shard.labels[idx])
             models[i] = models[i] - cfg.learning_rate * grad
-        averaged = average_params(np.stack(models), [1.0] * num_nodes, cfg.arch).values
+        averaged = average_params(np.stack(models), cfg.arch).values
         models = [averaged.copy() for _ in shards]
         transmissions += per_round
         if round_num in schedule and trace.evaluate(round_num, transmissions, -1, averaged):
@@ -164,12 +167,15 @@ def trials(draw):
               if kind == "static" else PolicySpec(kind))
     target = draw(st.one_of(st.floats(min_value=0.8, max_value=1.0),
                             st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+    # a traveling model needs one interval of budget to be sent at all
+    interval = draw(st.integers(min_value=1, max_value=3))
     cfg = RunConfig(
         arch=ArchSpec((dims, *hidden, num_classes)),
         learning_rate=draw(st.sampled_from([0.05, 0.5, 5.0, 1e150, 1e300])),
         batch_size=draw(st.integers(min_value=1, max_value=8)),
-        interval=draw(st.integers(min_value=1, max_value=3)),
-        max_iterations=draw(st.integers(min_value=1, max_value=60)),
+        interval=interval,
+        max_iterations=draw(st.integers(min_value=1 if kind == "gossip" else interval,
+                                        max_value=60)),
         eval_every=draw(st.integers(min_value=1, max_value=5)),
         target_accuracy=None if draw(st.booleans()) else target,
         seed=draw(st.integers(min_value=0, max_value=2**32)),
@@ -179,10 +185,7 @@ def trials(draw):
     return shards, test, cfg
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(trials())
-def test_trial_loop_matches_the_reference(trial):
-    shards, test, cfg = trial
+def _assert_matches_the_reference(shards, test, cfg):
     with np.errstate(all="ignore"):
         if cfg.policy.kind == "gossip":
             got = run_gossip(shards, test, cfg)
@@ -200,3 +203,23 @@ def test_trial_loop_matches_the_reference(trial):
         assert got.ledger is None
     else:
         assert got.ledger.counts.tobytes() == ledger.tobytes()
+    return got
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(trials())
+def test_trial_loop_matches_the_reference(trial):
+    _assert_matches_the_reference(*trial)
+
+
+def test_terminal_target_hit_matches_the_reference():
+    """4 sends with evaluation every 5: the terminal record clears the
+    target, and the trial still ends without reaching it."""
+    train, test = generate_synthetic_split(4, 4, 30, 15, 3.0, 1)
+    shards = [make_shard(v, train, np.flatnonzero(train.labels // 2 == v)) for v in range(2)]
+    cfg = RunConfig(arch=ArchSpec((4, 8, 4)), learning_rate=0.05, batch_size=4, interval=1,
+                    max_iterations=4, eval_every=5, target_accuracy=0.05, seed=3,
+                    policy=PolicySpec("dynamic"))
+    got = _assert_matches_the_reference(shards, test, cfg)
+    assert got.records[-1].test_accuracy >= cfg.target_accuracy
+    assert got.status == "budget_exhausted"
