@@ -23,12 +23,15 @@ the layout numpy would allocate for the result: numpy then makes the same
 BLAS call. An ``out`` in another layout can change the call and the bits;
 a Fortran-ordered ``out`` does for a (500, 32) @ (32, 10) product.
 
-``loss_and_grad`` and ``evaluate`` take an optional ``workspace``, a
-:class:`_Workspace` built once per trial. It keeps the layer views, the
-gradient and the per-row-count buffers between calls, so a step allocates
-little. A gradient returned through a workspace is that workspace's
-buffer: its next ``loss_and_grad`` overwrites it. ``sgd_step`` always
-updates ``params.values`` in place.
+A :class:`ModelParams` binds ``values`` once (the dataclass is frozen) and
+caches its weight and bias views into it as ``layers``, so the views never
+go stale; the array's contents may change in place. ``loss_and_grad`` and
+``evaluate`` take an optional ``workspace``, a :class:`_Workspace` built
+once per trial for one architecture and one batch row count. It keeps the
+activation, logit and row-index buffers and the gradient between calls, so
+a step allocates little. A gradient returned through a workspace is that
+workspace's buffer: its next ``loss_and_grad`` overwrites it. ``sgd_step``
+always updates ``params.values`` in place.
 """
 
 from __future__ import annotations
@@ -75,84 +78,64 @@ class ArchSpec:
         return tuple(weights), tuple(biases), offset
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """Architecture plus the flat parameter vector."""
+    """Architecture plus the flat parameter vector, bound once."""
 
     arch: ArchSpec
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         if self.values.shape != (self.arch.num_params(),):
             raise ValueError(
                 f"expected {self.arch.num_params()} parameters, got shape {self.values.shape}"
             )
 
-
-def _views(arch: ArchSpec, flat: np.ndarray):
-    """Weight-matrix and bias views into a flat vector (no copies)."""
-    weight_slices, bias_slices, _ = arch._layout
-    weights = [flat[start:stop].reshape(shape) for start, stop, shape in weight_slices]
-    biases = [flat[start:stop] for start, stop in bias_slices]
-    return weights, biases
+    @cached_property
+    def layers(self):
+        """``(weights, biases)``: per-layer views into ``values`` (no copies)."""
+        weight_slices, bias_slices, _ = self.arch._layout
+        weights = [self.values[start:stop].reshape(shape) for start, stop, shape in weight_slices]
+        biases = [self.values[start:stop] for start, stop in bias_slices]
+        return weights, biases
 
 
 class _Workspace:
-    """Scratch for one architecture, reused across calls: the layer views of
-    the last parameter vector seen, activation and logit buffers for the last
-    row count seen, and a gradient made on first use. Views are rebuilt when
-    a call brings another parameter vector, buffers when it brings another
-    row count."""
+    """Scratch for one architecture and one batch row count, reused across
+    calls: activation, logit and row-index buffers, and a gradient made on
+    first use."""
 
-    def __init__(self, arch: ArchSpec):
+    def __init__(self, arch: ArchSpec, rows: int):
         self.arch = arch
-        self._grad = None
-        self._values = None
-        self._rows = 0
-
-    def views(self, params: ModelParams):
-        """Weight and bias views into ``params.values``."""
-        if params.arch is not self.arch and params.arch != self.arch:
-            raise ValueError(f"workspace is for {self.arch}, params are {params.arch}")
-        if params.values is not self._values:
-            self._values = params.values
-            self.weights, self.biases = _views(self.arch, params.values)
-        return self.weights, self.biases
-
-    def size(self, rows: int) -> None:
-        """Size the row buffers for a batch of ``rows`` rows."""
-        if rows == self._rows:
-            return
-        widths = self.arch.layer_sizes[1:-1]
-        self.hidden = [np.empty((rows, w)) for w in widths]
-        self.logits = np.empty((rows, self.arch.layer_sizes[-1]))
+        self.hidden = [np.empty((rows, w)) for w in arch.layer_sizes[1:-1]]
+        self.logits = np.empty((rows, arch.layer_sizes[-1]))
         self.rows = np.arange(rows)
-        self._rows = rows
 
-    def gradient(self):
-        """The gradient vector and its weight and bias views."""
-        if self._grad is None:
-            grad = np.zeros(self.arch.num_params())
-            self._grad = (grad, *_views(self.arch, grad))
-        return self._grad
+    @cached_property
+    def gradient(self) -> ModelParams:
+        """The gradient, a zero ModelParams made on first use."""
+        return ModelParams(self.arch, np.zeros(self.arch.num_params()))
 
 
 def init_he(arch: ArchSpec, seed: int) -> ModelParams:
     """He initialization: weights ~ N(0, 2/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
-    values = np.zeros(arch.num_params())
-    weights, _ = _views(arch, values)
-    for w in weights:
+    params = ModelParams(arch, np.zeros(arch.num_params()))
+    for w in params.layers[0]:
         fan_in = w.shape[0]
         w[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
-    return ModelParams(arch, values)
+    return params
 
 
 def _forward_batch(ws: _Workspace, params: ModelParams, features: np.ndarray):
     """Activations per layer plus output logits for a (n, dims) batch, in the
-    workspace's buffers (sized for n rows)."""
-    weights, biases = ws.views(params)
+    workspace's buffers, which must be for ``params.arch`` and n rows."""
+    if params.arch is not ws.arch and params.arch != ws.arch:
+        raise ValueError(f"workspace is for {ws.arch}, params are {params.arch}")
+    if len(features) != len(ws.rows):
+        raise ValueError(f"workspace is for {len(ws.rows)} rows, batch has {len(features)}")
+    weights, biases = params.layers
     activations = [features]
     hidden = features
     for w, b, out in zip(weights[:-1], biases[:-1], ws.hidden):
@@ -187,8 +170,7 @@ def forward(params: ModelParams, x) -> np.ndarray:
         raise ValueError(
             f"expected feature vector of length {params.arch.layer_sizes[0]}, got shape {x.shape}"
         )
-    ws = _Workspace(params.arch)
-    ws.size(1)
+    ws = _Workspace(params.arch, 1)
     _, logits = _forward_batch(ws, params, x[None, :])
     exps, sums, _ = _softmax_parts(logits, logits.max(axis=1, keepdims=True))
     return (exps / sums)[0]
@@ -206,8 +188,7 @@ def loss_and_grad(params: ModelParams, features, labels, *,
     if len(labels) == 0:
         raise ValueError("batch must be nonempty")
     features = np.asarray(features, dtype=np.float64)
-    ws = workspace if workspace is not None else _Workspace(params.arch)
-    ws.size(len(labels))
+    ws = workspace if workspace is not None else _Workspace(params.arch, len(labels))
 
     activations, logits = _forward_batch(ws, params, features)
     picked = logits[ws.rows, labels]
@@ -219,7 +200,9 @@ def loss_and_grad(params: ModelParams, features, labels, *,
     delta[ws.rows, labels] -= 1.0
     delta /= len(labels)
 
-    grad, grad_w, grad_b = ws.gradient()
+    weights, _ = params.layers
+    grad = ws.gradient
+    grad_w, grad_b = grad.layers
     for layer in reversed(range(len(grad_w))):
         np.matmul(activations[layer].T, delta, out=grad_w[layer])
         delta.sum(axis=0, out=grad_b[layer])
@@ -227,9 +210,9 @@ def loss_and_grad(params: ModelParams, features, labels, *,
             # This is the last read of activations[layer]: take its mask,
             # then let the next delta overwrite it.
             mask = activations[layer] > 0
-            delta = np.matmul(delta, ws.weights[layer].T, out=activations[layer])
+            delta = np.matmul(delta, weights[layer].T, out=activations[layer])
             delta *= mask
-    return loss, grad
+    return loss, grad.values
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, eta: float) -> ModelParams:
@@ -244,7 +227,7 @@ def sgd_step(params: ModelParams, grad: np.ndarray, eta: float) -> ModelParams:
         raise ValueError(f"gradient shape {grad.shape} does not match {params.values.shape}")
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
-    params.values -= eta * grad
+    np.subtract(params.values, eta * grad, out=params.values)
     return params
 
 
@@ -256,8 +239,7 @@ def evaluate(params: ModelParams, ds, *, workspace: _Workspace | None = None) ->
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    ws = workspace if workspace is not None else _Workspace(params.arch)
-    ws.size(len(ds))
+    ws = workspace if workspace is not None else _Workspace(params.arch, len(ds))
     _, logits = _forward_batch(ws, params, ds.features)
     predictions = logits.argmax(axis=1)
     accuracy = int(np.count_nonzero(predictions == ds.labels)) / len(ds)
@@ -277,7 +259,7 @@ def finite_diff_check(params: ModelParams, features, labels, eps: float) -> floa
     _, grad = loss_and_grad(params, features, labels)
     base = params.values
     bumped = ModelParams(params.arch, base.copy())
-    workspace = _Workspace(params.arch)
+    workspace = _Workspace(params.arch, len(labels))
     worst = 0.0
     for i in range(base.shape[0]):
         bumped.values[i] = base[i] + eps

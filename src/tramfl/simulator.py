@@ -142,7 +142,7 @@ class _EvalTrace:
     def __init__(self, test_set, cfg: RunConfig):
         self.test_set = test_set
         self.cfg = cfg
-        self.workspace = _Workspace(cfg.arch)
+        self.workspace = _Workspace(cfg.arch, len(test_set))
         self.records: list[EvalRecord] = []
         self.reached: int | None = None
         self.diverged = False
@@ -189,6 +189,20 @@ class _EvalTrace:
         return TrialResult(self.records, self.reached, params_digest(params), params, status, ledger)
 
 
+def _sorted_shards(shards, kind: str) -> list:
+    """The shards in node-id order, which must be 0..V-1. Every policy kind
+    but dynamic visits each node, so under it an empty shard is a
+    StateError before the trial starts."""
+    shards = sorted(shards, key=lambda s: s.node_id)
+    if [s.node_id for s in shards] != list(range(len(shards))):
+        raise ValueError("shards must carry node ids 0..V-1")
+    if kind != "dynamic":
+        for shard in shards:
+            if shard.total == 0:
+                raise StateError(f"shard {shard.node_id} is empty")
+    return shards
+
+
 def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     """Train one traveling model over the shards under ``cfg.policy``.
 
@@ -205,10 +219,8 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
         raise ValueError("cfg.policy is not set")
     if policy.kind == "gossip":
         raise ValueError("gossip runs through run_gossip, not run_tram_fl")
-    shards = sorted(shards, key=lambda s: s.node_id)
+    shards = _sorted_shards(shards, policy.kind)
     num_nodes = len(shards)
-    if [s.node_id for s in shards] != list(range(num_nodes)):
-        raise ValueError("shards must carry node ids 0..V-1")
     nonempty = [s.node_id for s in shards if s.total > 0]
     if not nonempty:
         raise StateError("all shards are empty")
@@ -224,7 +236,7 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     if policy.kind == "dynamic":
         shards = RouteTable(shards, volume)
 
-    workspace = _Workspace(cfg.arch)
+    workspace = _Workspace(cfg.arch, cfg.batch_size)
     trace = _EvalTrace(test_set, cfg)
     transmissions = 0
     for iteration in range(1, cfg.max_iterations + 1):
@@ -263,13 +275,10 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     """
     if cfg.policy is not None and cfg.policy.kind != "gossip":
         raise ValueError(f"run_gossip runs gossip, not {cfg.policy.kind}")
-    shards = sorted(shards, key=lambda s: s.node_id)
+    shards = _sorted_shards(shards, "gossip")
     num_nodes = len(shards)
     if num_nodes < 2:
         raise ValueError(f"gossip needs at least 2 nodes, got {num_nodes}")
-    for shard in shards:
-        if shard.total == 0:
-            raise StateError(f"shard {shard.node_id} is empty")
 
     rng = np.random.default_rng(cfg.seed)
     matrix = np.tile(init_he(cfg.arch, cfg.seed).values, (num_nodes, 1))
@@ -278,7 +287,7 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     if cfg.count_exchanges_once:
         per_round //= 2
 
-    workspace = _Workspace(cfg.arch)
+    workspace = _Workspace(cfg.arch, cfg.batch_size)
     trace = _EvalTrace(test_set, cfg)
     transmissions = 0
     for round_num in range(1, cfg.max_iterations + 1):

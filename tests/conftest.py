@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from golden_host import fingerprint, mismatch_section, pinned
 
 from tramfl import generate_synthetic
 
@@ -34,3 +35,18 @@ def pytest_terminal_summary(terminalreporter):
     for num in sorted(outcomes):
         name, outcome = outcomes[num]
         terminalreporter.write_line(f"criterion {num}: {outcome.upper():4s}  ({name})")
+
+
+def pytest_report_header():
+    """The host fingerprint the goldens' bits depend on."""
+    return "golden host: " + ", ".join(f"{k}={v}" for k, v in fingerprint().items())
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item):
+    """A failing golden test on a host unlike the pinned one says so."""
+    report = (yield).get_result()
+    if report.failed and item.path.name == "test_goldens.py":
+        section = mismatch_section(pinned(), fingerprint())
+        if section:
+            report.sections.append(("golden host", section))

@@ -274,6 +274,27 @@ def test_gossip_needs_two_nodes_and_data(small_task):
         run_gossip(shards, test, _cfg(policy=PolicySpec("gossip")))
 
 
+@pytest.mark.parametrize("policy", [PolicySpec("random"), PolicySpec("static", (0, 1, 2))],
+                         ids=lambda p: p.name())
+def test_visiting_policy_rejects_an_empty_shard_whatever_the_budget(small_task, policy):
+    """Random and static visit every node, so an empty shard fails before
+    the first step, not only once the model reaches it."""
+    train, test = small_task
+    shards = split_contiguous_labels(train, 3)
+    shards[1] = make_shard(1, train, [])
+    for iterations in (1, 40):
+        with pytest.raises(StateError, match="shard 1 is empty"):
+            run_tram_fl(shards, test, _cfg(policy=policy, max_iterations=iterations))
+
+
+def test_gossip_needs_node_ids_0_to_v_minus_1(small_task):
+    train, test = small_task
+    shards = split_contiguous_labels(train, 2)
+    shards[1] = replace(shards[1], node_id=5)
+    with pytest.raises(ValueError, match="node ids"):
+        run_gossip(shards, test, _cfg(policy=PolicySpec("gossip")))
+
+
 @pytest.mark.parametrize("policy", [PolicySpec("dynamic"), PolicySpec("random"),
                                     PolicySpec("static", (0, 1))], ids=lambda p: p.name())
 def test_gossip_rejects_another_policy(small_task, policy):
