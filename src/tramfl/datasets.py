@@ -15,12 +15,13 @@ import numpy as np
 from .errors import ParseError, StateError
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
     """Feature rows with their class indices.
 
     ``features`` is an ``(n, dims)`` float64 array and ``labels`` the
-    matching ``(n,)`` int64 array; row ``i`` is one sample.
+    matching ``(n,)`` int64 array of classes ``0..num_classes-1``; row
+    ``i`` is one sample.
     """
 
     features: np.ndarray
@@ -36,22 +37,14 @@ class LabeledDataset:
                 f"need features of shape (n, {self.dims}) and labels of shape (n,), "
                 f"got {self.features.shape} and {self.labels.shape}"
             )
-
-    def __eq__(self, other):
-        if not isinstance(other, LabeledDataset):
-            return NotImplemented
-        return (
-            self.num_classes == other.num_classes
-            and self.dims == other.dims
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.features, other.features)
-        )
+        if len(self.labels) and not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
+            raise ValueError(f"labels must lie in 0..{self.num_classes - 1}")
 
     def __len__(self):
         return len(self.labels)
 
 
-@dataclass
+@dataclass(eq=False)
 class LabelHistogram:
     """Per-class sample counts.
 
@@ -63,11 +56,6 @@ class LabelHistogram:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.float64)
-
-    def __eq__(self, other):
-        if not isinstance(other, LabelHistogram):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
 
 
 def generate_synthetic(

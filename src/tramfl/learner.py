@@ -78,7 +78,7 @@ class ArchSpec:
         return tuple(weights), tuple(biases), offset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Architecture plus the flat parameter vector, bound once."""
 

@@ -19,7 +19,7 @@ from .errors import StateError
 MAX_COVERAGE_ATTEMPTS = 10_000
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetShard:
     """One node's local rows (``features`` (n, dims), ``labels`` (n,)) plus
     their label histogram and row count."""

@@ -17,7 +17,7 @@ from .datasets import LabelHistogram
 from .errors import StateError
 
 
-@dataclass
+@dataclass(eq=False)
 class RoutingState:
     """Cumulative label-usage ledger and model holder."""
 

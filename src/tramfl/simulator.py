@@ -102,7 +102,7 @@ class EvalRecord:
     test_loss: float
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialResult:
     """Evaluation trace plus where (if ever) the target accuracy was hit.
 
@@ -304,7 +304,7 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     return trace.result(transmissions, -1, averaged)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialsSummary:
     """Per-trial outcomes plus mean/std over the trials that reached target."""
 

@@ -327,6 +327,25 @@ def test_csv_test_labels_missing_from_train_is_config_error(tmp_path, capsys):
     assert "dataset.test" in err and "[2]" in err
 
 
+@pytest.mark.parametrize("rows, layers, message", [
+    ("0,0.0,1.0,2.0\n1,1.0,0.0,2.0\n", "4,8,2", "learner.layers: first size 4"),
+    ("0,0.0\n1,1.0\n2,2.0\n3,3.0\n", "1,8,3", "smaller than the CSV label range"),
+], ids=["three_features_under_four_inputs", "four_labels_under_three_outputs"])
+def test_csv_shape_checked_against_layers(tmp_path, capsys, rows, layers, message):
+    (tmp_path / "train.csv").write_text(rows)
+    (tmp_path / "test.csv").write_text(rows)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        "[partition]\nscheme = contiguous\nnodes = 2\n\n"
+        f"[learner]\nlayers = {layers}\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        "[policies]\ndynamic = dynamic\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 _TWO_CLASS_TRAIN = "0,0.0,1.0\n1,1.0,0.0\n0,0.5,1.0\n1,1.0,0.5\n"
 
 

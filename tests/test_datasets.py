@@ -23,6 +23,12 @@ from tramfl import (
 from tramfl.partition import make_shard, split_contiguous_labels
 
 
+def _assert_same_dataset(a, b):
+    assert (a.num_classes, a.dims) == (b.num_classes, b.dims)
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.features, b.features)
+
+
 def test_generate_counts_and_histogram():
     ds = generate_synthetic(2, 2, 5, 3.0, 7)
     assert len(ds) == 10
@@ -32,13 +38,13 @@ def test_generate_counts_and_histogram():
 def test_generate_deterministic():
     a = generate_synthetic(3, 4, 6, 2.0, 7)
     b = generate_synthetic(3, 4, 6, 2.0, 7)
-    assert a == b
+    _assert_same_dataset(a, b)
 
 
 def test_generate_seeds_differ():
     a = generate_synthetic(3, 4, 6, 2.0, 7)
     b = generate_synthetic(3, 4, 6, 2.0, 8)
-    assert a != b
+    assert not np.array_equal(a.features, b.features)
 
 
 @pytest.mark.parametrize(
@@ -89,7 +95,7 @@ def test_csv_roundtrip(tmp_path):
     ds = generate_synthetic(3, 4, 7, 2.5, 13)
     path = tmp_path / "round.csv"
     save_csv(ds, path)
-    assert load_csv(path) == ds
+    _assert_same_dataset(load_csv(path), ds)
 
 
 def test_csv_roundtrip_with_header(tmp_path):
@@ -97,7 +103,7 @@ def test_csv_roundtrip_with_header(tmp_path):
     path = tmp_path / "round.csv"
     save_csv(ds, path, header=True)
     assert path.read_text().startswith("label,f1,f2\n")
-    assert load_csv(path, has_header=True) == ds
+    _assert_same_dataset(load_csv(path, has_header=True), ds)
 
 
 def test_csv_empty_file_error(tmp_path):
@@ -133,6 +139,28 @@ def test_csv_non_integer_label(tmp_path):
     path.write_text("1.5,1.0\n")
     with pytest.raises(ParseError, match="label"):
         load_csv(path)
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return load_csv(path)
+
+
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda tmp: LabeledDataset(np.zeros((3, 2)), [0, 1], 2, 2), ValueError, "shape (n, 2)"),
+    (lambda tmp: LabeledDataset(np.zeros((2, 2)), [5, 0], 3, 2), ValueError, "0..2"),
+    # a negative label would be scored and trained as the last class
+    (lambda tmp: LabeledDataset(np.zeros((2, 2)), [-1, 0], 3, 2), ValueError, "0..2"),
+    # the blank line 2 is skipped but still counted
+    (lambda tmp: _load_text(tmp, "0,1.0\n\n1\n"), ParseError, "line 3: expected 'label,f1"),
+    (lambda tmp: _load_text(tmp, "0,1.0\n1,inf\n"), ParseError, "line 2: non-finite"),
+], ids=["shape_mismatch", "label_above_range", "negative_label", "one_field_after_blank_line",
+        "non_finite_feature"])
+def test_dataset_checks(tmp_path, make, error, fragment):
+    with pytest.raises(error) as info:
+        make(tmp_path)
+    assert fragment in str(info.value)
 
 
 def test_histogram_direct_count():

@@ -194,6 +194,15 @@ def test_sgd_updates_in_place():
     assert values.tobytes() == (before - 0.1 * grad).tobytes()
 
 
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: ModelParams(ArchSpec((3, 2)), np.zeros(7)), "expected 8 parameters"),
+    (lambda: sgd_step(_zero_params(ArchSpec((3, 2))), np.zeros(8), 0.0), "eta must be > 0"),
+], ids=["params_length", "eta"])
+def test_learner_checks(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()
+
+
 def test_params_values_cannot_be_rebound():
     params = init_he(ArchSpec((3, 2)), 4)
     with pytest.raises(FrozenInstanceError):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from tramfl import (
+    StateError,
     generate_synthetic,
     split_contiguous_labels,
     split_exponential_binary,
     split_random_k_labels,
 )
+from tramfl import partition
 from tramfl.partition import PartitionPlan, make_shards
 
 REVIEW_TABLE_V3 = [[10125, 2625], [2000, 4750], [375, 5125]]
@@ -92,6 +94,23 @@ def test_random_k_coverage_unattainable():
         split_random_k_labels(ds, 3, 1, 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("make, error, fragment", [
+    (lambda ds: split_contiguous_labels(ds, 0), ValueError, "num_nodes must be >= 1"),
+    (lambda ds: split_random_k_labels(ds, 2, 1, 1, np.random.default_rng(0)),
+     StateError, "no full label coverage after 1 "),
+    (lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1]]), ValueError, "1 rows, expected 2"),
+    (lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1], [1]]),
+     ValueError, "two nonnegative ints"),
+    (lambda ds: split_exponential_binary(ds, 2, rate=0.0), ValueError, "rate must be > 0"),
+], ids=["contiguous_nodes", "coverage_cap", "counts_rows", "counts_row_shape", "rate"])
+def test_partition_checks(monkeypatch, make, error, fragment):
+    # Two nodes of one label each cover both classes with odds 1/2 per draw;
+    # seed 0's first draw gives both nodes label 1.
+    monkeypatch.setattr(partition, "MAX_COVERAGE_ATTEMPTS", 1)
+    with pytest.raises(error, match=fragment):
+        make(generate_synthetic(2, 2, 3, 2.0, 0))
+
+
 def test_random_k_bad_range():
     ds = generate_synthetic(4, 2, 2, 2.0, 0)
     with pytest.raises(ValueError):
@@ -120,7 +139,7 @@ def test_random_k_deterministic():
     ds = generate_synthetic(6, 2, 4, 2.0, 0)
     a = split_random_k_labels(ds, 3, 2, 4, np.random.default_rng(9))
     b = split_random_k_labels(ds, 3, 2, 4, np.random.default_rng(9))
-    assert [s.hist for s in a] == [s.hist for s in b]
+    assert np.array_equal([s.hist.counts for s in a], [s.hist.counts for s in b])
 
 
 def test_exponential_table_v3(review_shaped):
@@ -193,6 +212,6 @@ def test_make_shards_dispatch(mnist_shaped):
     plan = PartitionPlan("random_k", 5, k_min=2, k_max=5, seed=8)
     a = make_shards(mnist_shaped, plan)
     b = make_shards(mnist_shaped, plan)
-    assert [s.hist for s in a] == [s.hist for s in b]
+    assert np.array_equal([s.hist.counts for s in a], [s.hist.counts for s in b])
     with pytest.raises(ValueError):
         make_shards(mnist_shaped, PartitionPlan("nope", 3))

@@ -463,7 +463,7 @@ def test_update_ledger_commutes():
     a, b = np.array([2, 0, 1]), np.array([0, 5, 1])
     one = update_ledger(update_ledger(_state([1.0, 1.0, 1.0]), a), b)
     two = update_ledger(update_ledger(_state([1.0, 1.0, 1.0]), b), a)
-    assert one.cumulative == two.cumulative
+    assert np.array_equal(one.cumulative.counts, two.cumulative.counts)
 
 
 def test_update_ledger_length_mismatch():

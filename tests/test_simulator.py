@@ -5,9 +5,16 @@ import pytest
 
 from tramfl import (
     ArchSpec,
+    DatasetShard,
+    LabeledDataset,
+    LabelHistogram,
+    ModelParams,
     PolicySpec,
+    RoutingState,
     RunConfig,
     StateError,
+    TrialResult,
+    TrialsSummary,
     draw_minibatch,
     generate_synthetic,
     generate_synthetic_split,
@@ -43,6 +50,61 @@ def _cfg(**kwargs):
     )
     base.update(kwargs)
     return RunConfig(**base)
+
+
+def _model():
+    return ModelParams(ArchSpec((2, 2)), np.zeros(6))
+
+
+def _trial():
+    return TrialResult([], None, "digest", _model(), "budget_exhausted", LabelHistogram([1.0, 2.0]))
+
+
+ARRAY_HOLDERS = {
+    "LabeledDataset": lambda: LabeledDataset(np.zeros((2, 2)), [0, 1], 2, 2),
+    "LabelHistogram": lambda: LabelHistogram([1.0, 2.0]),
+    "ModelParams": _model,
+    "DatasetShard": lambda: DatasetShard(0, np.zeros((2, 2)), np.array([0, 1]),
+                                         LabelHistogram([1.0, 1.0]), 2),
+    "RoutingState": lambda: RoutingState(LabelHistogram([1.0, 2.0]), 0),
+    "TrialResult": _trial,
+    "TrialsSummary": lambda: TrialsSummary([_trial()], [None], None, None, 1, 0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_types_holding_arrays_compare_by_identity(make):
+    a, b = make(), make()
+    assert a != b
+    assert not a == b
+    assert a == a
+    hash(a)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda shards, test: PolicySpec("nope"), "unknown policy kind"),
+    (lambda shards, test: PolicySpec("dynamic", route=(0, 1)), "others must not carry one"),
+    (lambda shards, test: PolicySpec("static"), "static policies need a route"),
+    (lambda shards, test: _cfg(learning_rate=0.0), "learning_rate must be > 0"),
+    (lambda shards, test: _cfg(batch_size=0), "must be >= 1"),
+    (lambda shards, test: _cfg(interval=0), "must be >= 1"),
+    (lambda shards, test: _cfg(max_iterations=0), "must be >= 1"),
+    (lambda shards, test: _cfg(eval_every=0), "must be >= 1"),
+    (lambda shards, test: _cfg(target_accuracy=0.0), "target_accuracy must be in (0, 1]"),
+    (lambda shards, test: _cfg(target_accuracy=1.5), "target_accuracy must be in (0, 1]"),
+    (lambda shards, test: run_tram_fl(shards, test, _cfg(policy=None)), "cfg.policy is not set"),
+    (lambda shards, test: run_trials(shards, test, _cfg(policy=None, target_accuracy=0.5)),
+     "cfg.policy is not set"),
+    (lambda shards, test: run_trials(shards, test, _cfg(target_accuracy=0.5), num_trials=0),
+     "num_trials must be >= 1"),
+], ids=["unknown_kind", "route_on_dynamic", "static_without_route", "learning_rate",
+        "batch_size", "interval", "max_iterations", "eval_every", "target_zero",
+        "target_above_one", "tram_fl_no_policy", "trials_no_policy", "zero_trials"])
+def test_simulator_checks(small_task, make, fragment):
+    train, test = small_task
+    with pytest.raises(ValueError) as info:
+        make(split_contiguous_labels(train, 2), test)
+    assert fragment in str(info.value)
 
 
 def test_transmissions_are_floor_k_over_t(small_task):
