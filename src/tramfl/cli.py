@@ -5,13 +5,21 @@ every configured policy for the configured number of trials, writes one
 ``results_<label>.csv`` per policy plus a ``summary.json``, and prints a
 comparison table ordered by mean transmissions-to-target. A policy's trials
 are dropped once its CSV is written, so a run holds one policy's results at
-a time however many routes ``static:all`` expands to. A ``results_*.csv``
-that an earlier run left in ``<dir>`` for a label no longer configured is
-removed. A trial whose test loss stops being finite ends there as diverged
-and gets a warning on stderr; then the run also writes ``status.json``, the
-per-policy counts of trial statuses. A run with no diverged trial writes no
-``status.json``, so its outputs are the same files as before the status
-existed.
+a time however many routes ``static:all`` expands to. A trial whose test
+loss stops being finite ends there as diverged and gets a warning on
+stderr; then the run also writes ``status.json``, the per-policy counts of
+trial statuses. A run with no diverged trial writes no ``status.json``, so
+its outputs are the same files as before the status existed.
+
+Outputs are all or nothing. They are written into a staging directory in
+``<dir>`` (the ``--dump-model`` file into one beside its path) and published
+only after the last policy: the ``status.json`` and ``results_*.csv`` that
+an earlier run left for labels no longer written are removed, then every
+staged file is moved into place with ``os.replace``, the dump last. A run
+that fails or is interrupted before then leaves the files in ``<dir>`` as
+they were, and its staging directories are removed however it ends. Both
+are made before the first policy runs, so a dump path in a missing
+directory fails at once.
 
 Exit codes: 0 success (every number written is finite), 2 config error (an
 unreadable dataset CSV included, or an empty shard under a policy that visits
@@ -24,7 +32,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +47,7 @@ from .partition import make_shards
 from .simulator import TRIAL_STATUSES, TrialsSummary, run_trials
 
 CSV_COLUMNS = "trial,iteration,transmissions,holder,test_loss,test_accuracy"
+STAGING_PREFIX = ".tramfl-staging-"
 
 
 def _read_csv(d, key) -> LabeledDataset:
@@ -163,36 +174,48 @@ def run_experiment(
     """Run every configured policy and write CSVs, summary.json, and the table.
 
     Returns 0, or 3 when a trial diverged; only then is status.json written.
-    A stale status.json or results_<label>.csv from an earlier run into
-    ``out_dir`` is removed."""
+    The outputs are staged and published together after the last policy (see
+    the module docstring)."""
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
     train, test = _build_datasets(cfg)
     shards = make_shards(train, cfg.partition)
     _check_shards_visitable(cfg, shards)
     os.makedirs(out_dir, exist_ok=True)
+    staging, dump_staging = tempfile.mkdtemp(prefix=STAGING_PREFIX, dir=out_dir), None
+    try:
+        if dump_model is not None:
+            # Staged beside its target, so that os.replace stays on one filesystem.
+            dump_staging = tempfile.mkdtemp(prefix=STAGING_PREFIX,
+                                            dir=os.path.dirname(os.path.abspath(dump_model)))
+            staged_dump = os.path.join(dump_staging, os.path.basename(dump_model))
+        entries, statuses = {}, {}
+        last_params = None
+        for label, spec in cfg.policies:
+            entries[label], statuses[label], last_params = _run_policy(
+                cfg, label, spec, shards, test, staging)
+        diverged = any(counts["diverged"] for counts in statuses.values())
+        _write_json(os.path.join(staging, "summary.json"), entries)
+        if diverged:
+            _write_json(os.path.join(staging, "status.json"), statuses)
+        if dump_staging is not None:
+            _write_checkpoint(last_params, staged_dump)
 
-    entries, statuses = {}, {}
-    last_params = None
-    for label, spec in cfg.policies:
-        entries[label], statuses[label], last_params = _run_policy(
-            cfg, label, spec, shards, test, out_dir)
-    diverged = any(counts["diverged"] for counts in statuses.values())
-
-    _write_json(os.path.join(out_dir, "summary.json"), entries)
-    status_path = os.path.join(out_dir, "status.json")
-    if diverged:
-        _write_json(status_path, statuses)
-    elif os.path.exists(status_path):
-        os.remove(status_path)
-    written = {f"results_{label}.csv" for label in entries}
-    for name in os.listdir(out_dir):
-        if name.startswith("results_") and name.endswith(".csv") and name not in written:
-            os.remove(os.path.join(out_dir, name))
+        staged = os.listdir(staging)
+        for name in os.listdir(out_dir):
+            stale = name == "status.json" or (name.startswith("results_") and name.endswith(".csv"))
+            if stale and name not in staged:
+                os.remove(os.path.join(out_dir, name))
+        for name in staged:
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        if dump_staging is not None:
+            os.replace(staged_dump, dump_model)
+    finally:
+        for path in (staging, dump_staging):
+            if path is not None:
+                shutil.rmtree(path, ignore_errors=True)
 
     _print_table(sorted(entries.items(), key=lambda row: (row[1]["mean"] is None, row[1]["mean"])))
-    if dump_model is not None:
-        _write_checkpoint(last_params, dump_model)
     return 3 if diverged else 0
 
 
@@ -204,14 +227,10 @@ def main(argv=None) -> int:
     run_parser.add_argument("--out", required=True, help="output directory")
     run_parser.add_argument("--dump-model", metavar="PATH",
                             help="write the last trial's final model to PATH")
-    run_parser.add_argument("--count-exchanges-once", action="store_true",
-                            help="count each gossip exchange as one transmission instead of two")
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config)
-        cfg = replace(cfg, run=replace(cfg.run, count_exchanges_once=args.count_exchanges_once))
-        return run_experiment(cfg, args.out, dump_model=args.dump_model)
+        return run_experiment(parse_config(args.config), args.out, dump_model=args.dump_model)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

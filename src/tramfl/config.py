@@ -14,6 +14,7 @@ import configparser
 import io
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -132,8 +133,15 @@ _SCHEMAS = {
         "target_accuracy": (_parse_float, False),
         "trials": (_parse_int, False),
         "seed": (_parse_int, False),
+        "count_exchanges_once": (_parse_bool, False),
     },
 }
+# Each [learner] and [run] key's RunConfig field; _build_run and format_config
+# both read it. run.trials has none, and an absent key takes RunConfig's default.
+_RUN_FIELDS = {"layers": "arch", "eta": "learning_rate", "batch": "batch_size",
+               "iterations": "max_iterations", "interval": "interval", "eval_every": "eval_every",
+               "target_accuracy": "target_accuracy", "seed": "seed",
+               "count_exchanges_once": "count_exchanges_once"}
 _VARIANTS = {
     "dataset": ("kind", ("synthetic", "csv")),
     "partition": ("scheme", ("contiguous", "random_k", "exponential", "table")),
@@ -255,17 +263,10 @@ def _check_learner(parsed, dataset: DatasetSection) -> None:
 
 
 def _build_run(learner, parsed) -> tuple[RunConfig, int]:
-    """The base RunConfig from [learner] and [run], plus run.trials."""
-    return RunConfig(
-        arch=ArchSpec(learner["layers"]),
-        learning_rate=learner["eta"],
-        batch_size=learner["batch"],
-        interval=parsed.get("interval", 1),
-        max_iterations=parsed["iterations"],
-        eval_every=parsed.get("eval_every", 1),
-        target_accuracy=parsed.get("target_accuracy"),
-        seed=parsed.get("seed", 0),
-    ), parsed.get("trials", 1)
+    """The base RunConfig from [learner] and [run] (run.interval defaults to 1), plus run.trials."""
+    given = {"interval": 1, **learner, **parsed, "layers": ArchSpec(learner["layers"])}
+    fields = {field: given[key] for key, field in _RUN_FIELDS.items() if key in given}
+    return RunConfig(**fields), parsed.get("trials", 1)
 
 
 def _parse_route(path, raw, nodes):
@@ -307,9 +308,9 @@ def _build_policies(raw_sections, nodes) -> tuple[tuple[str, PolicySpec], ...]:
             raise ConfigError(
                 f"{path}: expected dynamic, random, gossip, static:<route>, or static:all, got {value!r}"
             )
-    labels = [label for label, _ in policies]
-    for label in labels:
-        if labels.count(label) > 1:
+    counts = Counter(label for label, _ in policies)
+    for label, _ in policies:
+        if counts[label] > 1:
             raise ConfigError(f"policies.{label}: duplicate policy label")
     return tuple(policies)
 
@@ -371,16 +372,9 @@ def format_config(cfg: ExperimentConfig) -> str:
 
     Walks _SCHEMAS, writing each key its section's variant takes and whose
     value is not None."""
-    r = cfg.run
-    values = {
-        "dataset": vars(cfg.dataset),
-        "partition": vars(cfg.partition),
-        "learner": {"layers": r.arch.layer_sizes, "eta": r.learning_rate, "batch": r.batch_size},
-        "run": {
-            "iterations": r.max_iterations, "interval": r.interval, "eval_every": r.eval_every,
-            "target_accuracy": r.target_accuracy, "trials": cfg.trials, "seed": r.seed,
-        },
-    }
+    run = {key: getattr(cfg.run, field) for key, field in _RUN_FIELDS.items()}
+    run.update(layers=cfg.run.arch.layer_sizes, trials=cfg.trials)
+    values = {"dataset": vars(cfg.dataset), "partition": vars(cfg.partition), "learner": run, "run": run}
     out = io.StringIO()
     for name, schema in _SCHEMAS.items():
         section = values[name]

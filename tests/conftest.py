@@ -50,3 +50,10 @@ def pytest_runtest_makereport(item):
         section = mismatch_section(pinned(), fingerprint())
         if section:
             report.sections.append(("golden host", section))
+
+
+def pytest_collection_modifyitems(items):
+    """Criterion 5 takes most of the suite's time; ``-m "not slow"`` leaves it out."""
+    for item in items:
+        if item.originalname == "test_criterion_5_directional_transmissions_to_target":
+            item.add_marker(pytest.mark.slow)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from tramfl import cli, enumerate_static_routes, parse_config
 from tramfl.cli import main, run_experiment
+from tramfl.errors import StateError
 from tramfl.learner import ArchSpec, ModelParams
 from tramfl.simulator import params_digest
 
@@ -268,6 +269,50 @@ def test_rerun_removes_results_of_dropped_labels(smoke_config, tmp_path):
     assert list(json.loads((out / "summary.json").read_text())) == ["dynamic"]
 
 
+def _snapshot(directory):
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("fault", [StateError, KeyboardInterrupt])
+def test_failed_run_publishes_nothing(smoke_config, tmp_path, monkeypatch, capsys, fault):
+    """A run that fails in its second policy leaves an earlier run's outputs
+    byte-identical, writes no dump and leaves no staging directory."""
+    smoke_config.write_text(smoke_config.read_text().replace("iterations = 200", "iterations = 20"))
+    out = tmp_path / "out"
+    assert main(["run", str(smoke_config), "--out", str(out)]) == 0
+    earlier = _snapshot(out)
+    smoke_config.write_text(smoke_config.read_text().replace("seed = 11", "seed = 12"))
+    started = []
+
+    def second_policy_fails(cfg):
+        started.append(cfg.policy)
+        if len(started) == 2:
+            raise fault("injected")
+
+    _wrap_run_trials(monkeypatch, before=second_policy_fails)
+    argv = ["run", str(smoke_config), "--out", str(out), "--dump-model", str(tmp_path / "model.bin")]
+    if fault is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: injected\n"
+    assert len(started) == 2
+    assert _snapshot(out) == earlier
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "out"]
+
+
+def test_unwritable_dump_path_fails_before_training(smoke_config, tmp_path, monkeypatch, capsys):
+    started = []
+    _wrap_run_trials(monkeypatch, before=started.append)
+    missing = tmp_path / "missing"
+    argv = ["run", str(smoke_config), "--out", str(tmp_path / "out"), "--dump-model", str(missing / "m.bin")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: [Errno 2] No such file or directory: '{missing}/")
+    assert started == []
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_target_required_for_experiments(smoke_config, tmp_path):
     text = smoke_config.read_text().replace("target_accuracy = 0.9\n", "")
     smoke_config.write_text(text)
@@ -279,11 +324,12 @@ def test_count_exchanges_once_halves_gossip(tmp_path):
         "target_accuracy = 0.9", "target_accuracy = 1.0"
     )
     text = text.replace("dynamic = dynamic\nrandom = random\n", "")
-    cfg_path = tmp_path / "g.cfg"
-    cfg_path.write_text(text)
+    full_path, half_path = tmp_path / "full.cfg", tmp_path / "half.cfg"
+    full_path.write_text(text)
+    half_path.write_text(text.replace("seed = 11\n", "seed = 11\ncount_exchanges_once = true\n"))
     out_full, out_half = tmp_path / "full", tmp_path / "half"
-    assert main(["run", str(cfg_path), "--out", str(out_full)]) == 0
-    assert main(["run", str(cfg_path), "--out", str(out_half), "--count-exchanges-once"]) == 0
+    assert main(["run", str(full_path), "--out", str(out_full)]) == 0
+    assert main(["run", str(half_path), "--out", str(out_half)]) == 0
     full = _read_rows(out_full / "results_gossip.csv")
     half = _read_rows(out_half / "results_gossip.csv")
     assert full[0][2] == 6  # 3 nodes, directed

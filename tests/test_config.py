@@ -1,9 +1,10 @@
 import hashlib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from tramfl import ConfigError, PolicySpec, format_config, parse_config, parse_config_text
+from tramfl import ConfigError, PolicySpec, RunConfig, format_config, parse_config, parse_config_text
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -96,6 +97,20 @@ def test_round_trip_repo_configs():
 def test_round_trip_full_config():
     cfg = parse_config_text(FULL_TEXT)
     assert parse_config_text(format_config(cfg)) == cfg
+
+
+def test_round_trip_count_exchanges_once():
+    cfg = parse_config_text(FULL_TEXT.replace("seed = 11\n", "seed = 11\ncount_exchanges_once = true\n"))
+    assert cfg.run.count_exchanges_once is True
+    assert parse_config_text(format_config(cfg)) == cfg
+
+
+def test_every_run_field_has_a_config_key():
+    """format_config writes every RunConfig field but the policy, which
+    [policies] sets per run."""
+    from tramfl.config import _RUN_FIELDS
+
+    assert sorted(_RUN_FIELDS.values()) == sorted(f.name for f in fields(RunConfig) if f.name != "policy")
 
 
 def _patched(needle, replacement):
@@ -296,13 +311,13 @@ CONTIGUOUS_TEXT = FULL_TEXT.replace(
 )
 
 FORMAT_SHA256 = {
-    "gossip_vs_tram.cfg": "9a9e12a7cf51b1db4dd5ff45b9f37d8bdcd74a14cfe965f050ec78a81aadf109",
-    "quickstart.cfg": "479d8f4665c5b6edf2c130e788607fde83f0dc861a80301f28b0f6e37940d371",
-    "route_sweep.cfg": "426540c67cd80f568b4a5c6d7ace2c6a367e28326a39ae10b589bbde3f125f46",
-    "FULL_TEXT": "58bee024494cdbc3d854313c3d3dafada868fa3b54ff1ae3e239dd82617eadad",
-    "EXPONENTIAL_TEXT": "751f832703cef9ae5a7affa1bf1903dbb4d26de5cf256b4aba4c9577e72d1006",
-    "TABLE_TEXT": "757b0123e9d717eee3d1229e3a85f737d9d2b278f00d0cc268b5c53c210b593d",
-    "CSV_TEXT": "fe2c7ee03f4c2bc3ecb70aa7485168e83c7936769a51c4a9a013248d91bebc64",
+    "gossip_vs_tram.cfg": "0bf04a5aeef6627466367a3be519fd391f9d3564a1e41c09cd183f8e88640774",
+    "quickstart.cfg": "bba918b7b31938ff574c23f250efe25ccc3607a1597641fc741733f9f0f91793",
+    "route_sweep.cfg": "102bb6e262580a26ef4bbb8605ab81d4c7cd7436ace0c4a2616b21ddb96cb3e7",
+    "FULL_TEXT": "0d5f4c56db7f129374dd2ab1268fd33b1b9ed424b352091ceabec747fdb644a6",
+    "EXPONENTIAL_TEXT": "4cb0842b91f23b850671969f73f0980e094b616244220c8a5c7740b5187c57cc",
+    "TABLE_TEXT": "500ae9a673c88dafbd658a928300ef6d4f770f3b7019429d8b1cc72b53500128",
+    "CSV_TEXT": "09427713d72c7a9d9cf7085b75bffc8169d4084f8d1ef0ad9a1d19db5bf47835",
 }
 
 
@@ -449,6 +464,8 @@ SINGLE_FAULTS = [
      "run.iterations/interval/eval_every/trials: must be >= 1"),
     ("target_range", FULL_TEXT, "target_accuracy = 0.9", "target_accuracy = 0",
      "run.target_accuracy: must be in (0, 1], got 0.0"),
+    ("count_exchanges_once_type", FULL_TEXT, "seed = 11\n", "seed = 11\ncount_exchanges_once = maybe\n",
+     "run.count_exchanges_once: expected true or false, got 'maybe'"),
     ("iterations_below_interval", FULL_TEXT, "iterations = 300", "iterations = 1",
      "run.iterations: 1 is less than run.interval 2, so policies.dynamic (dynamic) would never "
      "send the model"),
