@@ -22,7 +22,6 @@ from .learner import (
     average_params,
     evaluate,
     finite_diff_check,
-    forward,
     init_he,
     loss_and_grad,
     sgd_step,

@@ -19,7 +19,9 @@ staged file is moved into place with ``os.replace``, the dump last. A run
 that fails or is interrupted before then leaves the files in ``<dir>`` as
 they were, and its staging directories are removed however it ends. Both
 are made before the first policy runs, so a dump path in a missing
-directory fails at once.
+directory fails at once. A staging directory is named
+``.tramfl-staging-<pid>-*``; one whose process no longer exists, as after
+a SIGKILL, is removed by the next run that stages in the same directory.
 
 Exit codes: 0 success (every number written is finite), 2 config error (an
 unreadable dataset CSV included, or an empty shard under a policy that visits
@@ -48,6 +50,27 @@ from .simulator import TRIAL_STATUSES, TrialsSummary, run_trials
 
 CSV_COLUMNS = "trial,iteration,transmissions,holder,test_loss,test_accuracy"
 STAGING_PREFIX = ".tramfl-staging-"
+
+
+def _staging_dir(parent) -> str:
+    """A new staging directory in ``parent``, named for this process, made
+    after removing those there whose process is gone. A directory of a live
+    process, of one this user may not signal, or with no pid in its name is
+    left alone."""
+    try:
+        names = os.listdir(parent)
+    except OSError:
+        names = []  # then mkdtemp reports what is wrong with ``parent``
+    for name in names:
+        pid, dash, _ = name[len(STAGING_PREFIX):].partition("-")
+        if name.startswith(STAGING_PREFIX) and dash and pid.isdecimal():
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                shutil.rmtree(os.path.join(parent, name), ignore_errors=True)
+            except PermissionError:
+                pass
+    return tempfile.mkdtemp(prefix=f"{STAGING_PREFIX}{os.getpid()}-", dir=parent)
 
 
 def _read_csv(d, key) -> LabeledDataset:
@@ -182,12 +205,11 @@ def run_experiment(
     shards = make_shards(train, cfg.partition)
     _check_shards_visitable(cfg, shards)
     os.makedirs(out_dir, exist_ok=True)
-    staging, dump_staging = tempfile.mkdtemp(prefix=STAGING_PREFIX, dir=out_dir), None
+    staging, dump_staging = _staging_dir(out_dir), None
     try:
         if dump_model is not None:
             # Staged beside its target, so that os.replace stays on one filesystem.
-            dump_staging = tempfile.mkdtemp(prefix=STAGING_PREFIX,
-                                            dir=os.path.dirname(os.path.abspath(dump_model)))
+            dump_staging = _staging_dir(os.path.dirname(os.path.abspath(dump_model)))
             staged_dump = os.path.join(dump_staging, os.path.basename(dump_model))
         entries, statuses = {}, {}
         last_params = None

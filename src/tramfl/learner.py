@@ -13,9 +13,12 @@ call owns (one it allocated, a workspace buffer, or the parameter vector
 of an in-place step: ``h += b``, ``np.exp(x, out=x)``, ``delta *= mask``)
 are allowed: each element gets the same operation on the same operands.
 Reductions keep their axis, operands and order, because numpy sums
-pairwise and a reordered sum moves the last bits; the row maximum may come
-from the argmax, whose element is the maximum, NaN and inf included. No
-dtype changes, and no masked assignment in place of a multiply by a mask:
+pairwise and a reordered sum moves the last bits. A row maximum taken from
+the argmax equals ``max`` in value, NaN and inf included, but not in a
+NaN's payload bits: ``loss_and_grad``, whose gradient bytes reach the
+params digests, keeps ``max``, and only ``evaluate``, whose loss is
+compared by value, takes its maximum from the argmax. No dtype changes,
+and no masked assignment in place of a multiply by a mask:
 ``x[~mask] = 0`` writes ``0.0`` where ``x * mask`` gives ``-0.0`` for a
 negative ``x`` and NaN for an infinite or NaN ``x``. A matmul may write
 into an ``out=`` buffer only if that buffer is C-contiguous and aligned,
@@ -30,8 +33,11 @@ go stale; the array's contents may change in place. ``loss_and_grad`` and
 once per trial for one architecture and one batch row count. It keeps the
 activation, logit and row-index buffers and the gradient between calls, so
 a step allocates little. A gradient returned through a workspace is that
-workspace's buffer: its next ``loss_and_grad`` overwrites it. ``sgd_step``
-always updates ``params.values`` in place.
+workspace's buffer: its next ``loss_and_grad`` overwrites it. Labels are
+range-checked against the output width only on the path without a
+workspace; with one, the caller vouches for them (the simulator's shard
+labels passed ``LabeledDataset``'s check). ``sgd_step`` always updates
+``params.values`` in place.
 """
 
 from __future__ import annotations
@@ -148,32 +154,26 @@ def _forward_batch(ws: _Workspace, params: ModelParams, features: np.ndarray):
     return activations, logits
 
 
-def _softmax_parts(logits: np.ndarray, zmax: np.ndarray):
-    """Exponentials of the logits shifted by their row maxima ``zmax``
-    (n, 1), their row sums, and the per-row log-sum-exp. The exponentials
-    overwrite ``logits``."""
+def _checked_labels(labels, arch: ArchSpec) -> np.ndarray:
+    """``labels`` as an array, each a class of ``arch``'s output layer."""
+    labels = np.asarray(labels)
+    classes = arch.layer_sizes[-1]
+    if not 0 <= labels.min() <= labels.max() < classes:
+        raise ValueError(f"labels must lie in 0..{classes - 1}")
+    return labels
+
+
+def _cross_entropy(logits: np.ndarray, rows: np.ndarray, labels, zmax: np.ndarray):
+    """Softmax cross-entropy of ``logits`` against ``labels``, shifted by the
+    row maxima ``zmax`` (n, 1): the exponentials, which overwrite ``logits``,
+    their row sums, and the mean over rows of log-sum-exp minus the label's
+    logit, as a float."""
+    picked = logits[rows, labels]
     logits -= zmax
     exps = np.exp(logits, out=logits)
     sums = exps.sum(axis=1, keepdims=True)
-    return exps, sums, np.log(sums) + zmax
-
-
-def _mean_cross_entropy(lse: np.ndarray, picked: np.ndarray) -> float:
-    """Mean over rows of the log-sum-exp minus the label's logit."""
-    return float(np.add.reduce(lse.ravel() - picked) / len(picked))
-
-
-def forward(params: ModelParams, x) -> np.ndarray:
-    """Class-probability vector for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.arch.layer_sizes[0],):
-        raise ValueError(
-            f"expected feature vector of length {params.arch.layer_sizes[0]}, got shape {x.shape}"
-        )
-    ws = _Workspace(params.arch, 1)
-    _, logits = _forward_batch(ws, params, x[None, :])
-    exps, sums, _ = _softmax_parts(logits, logits.max(axis=1, keepdims=True))
-    return (exps / sums)[0]
+    lse = np.log(sums) + zmax
+    return exps, sums, float(np.add.reduce(lse.ravel() - picked) / len(picked))
 
 
 def loss_and_grad(params: ModelParams, features, labels, *,
@@ -188,12 +188,13 @@ def loss_and_grad(params: ModelParams, features, labels, *,
     if len(labels) == 0:
         raise ValueError("batch must be nonempty")
     features = np.asarray(features, dtype=np.float64)
-    ws = workspace if workspace is not None else _Workspace(params.arch, len(labels))
+    ws = workspace
+    if ws is None:
+        labels = _checked_labels(labels, params.arch)
+        ws = _Workspace(params.arch, len(labels))
 
     activations, logits = _forward_batch(ws, params, features)
-    picked = logits[ws.rows, labels]
-    exps, sums, lse = _softmax_parts(logits, logits.max(axis=1, keepdims=True))
-    loss = _mean_cross_entropy(lse, picked)
+    exps, sums, loss = _cross_entropy(logits, ws.rows, labels, logits.max(axis=1, keepdims=True))
 
     delta = exps
     delta /= sums
@@ -239,13 +240,15 @@ def evaluate(params: ModelParams, ds, *, workspace: _Workspace | None = None) ->
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    ws = workspace if workspace is not None else _Workspace(params.arch, len(ds))
+    labels, ws = ds.labels, workspace
+    if ws is None:
+        labels = _checked_labels(labels, params.arch)
+        ws = _Workspace(params.arch, len(ds))
     _, logits = _forward_batch(ws, params, ds.features)
     predictions = logits.argmax(axis=1)
-    accuracy = int(np.count_nonzero(predictions == ds.labels)) / len(ds)
-    picked = logits[ws.rows, ds.labels]
-    _, _, lse = _softmax_parts(logits, logits[ws.rows, predictions][:, None])
-    return accuracy, _mean_cross_entropy(lse, picked)
+    accuracy = int(np.count_nonzero(predictions == labels)) / len(ds)
+    _, _, loss = _cross_entropy(logits, ws.rows, labels, logits[ws.rows, predictions][:, None])
+    return accuracy, loss
 
 
 def finite_diff_check(params: ModelParams, features, labels, eps: float) -> float:

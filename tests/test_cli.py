@@ -4,7 +4,11 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -300,6 +304,53 @@ def test_failed_run_publishes_nothing(smoke_config, tmp_path, monkeypatch, capsy
     assert len(started) == 2
     assert _snapshot(out) == earlier
     assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "out"]
+
+
+def test_next_run_clears_the_staging_directory_of_a_killed_run(tmp_path):
+    """A run killed with SIGKILL cannot remove its staging directory; the
+    next run into the same directory does, since that pid is gone."""
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "tramfl", "run", str(root / "configs" / "route_sweep.cfg"),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.is_dir() and os.listdir(out)):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == -signal.SIGKILL
+    assert [name.startswith(f"{cli.STAGING_PREFIX}{child.pid}-") for name in os.listdir(out)] == [True]
+    assert main(["run", str(root / "configs" / "quickstart.cfg"), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "results_dynamic.csv", "results_random.csv", "results_ring.csv", "summary.json"]
+
+
+def test_staging_directories_of_live_or_unknown_runs_are_kept(tmp_path, monkeypatch):
+    """Only a staging directory whose pid is gone is removed: not one of a
+    live process, one of a process that may not be signalled, nor one with
+    no pid in its name, as the directories of older versions were."""
+    kept = [f"{cli.STAGING_PREFIX}{os.getpid()}-live", f"{cli.STAGING_PREFIX}1-foreign",
+            f"{cli.STAGING_PREFIX}12345678", f"{cli.STAGING_PREFIX}abc-x"]
+    for name in kept + [f"{cli.STAGING_PREFIX}99-gone"]:
+        (tmp_path / name).mkdir()
+
+    def kill(pid, sig):
+        assert sig == 0
+        if pid == 99:
+            raise ProcessLookupError
+        if pid == 1:
+            raise PermissionError
+
+    monkeypatch.setattr(cli.os, "kill", kill)
+    staging = cli._staging_dir(tmp_path)
+    assert os.path.basename(staging).startswith(f"{cli.STAGING_PREFIX}{os.getpid()}-")
+    assert sorted(os.listdir(tmp_path)) == sorted(kept + [os.path.basename(staging)])
 
 
 def test_unwritable_dump_path_fails_before_training(smoke_config, tmp_path, monkeypatch, capsys):

@@ -12,7 +12,6 @@ from tramfl import (
     average_params,
     evaluate,
     finite_diff_check,
-    forward,
     init_he,
     loss_and_grad,
     sgd_step,
@@ -58,46 +57,6 @@ def test_init_he_weight_scale():
     target = np.sqrt(2.0 / 100)
     assert 0.9 * target < weights.std() < 1.1 * target
     assert abs(weights.mean()) < 0.1 * target
-
-
-def test_forward_zero_params_uniform():
-    params = _zero_params(ArchSpec((3, 5)))
-    probs = forward(params, [1.0, -2.0, 0.5])
-    assert np.allclose(probs, 0.2, atol=1e-12)
-
-
-def test_forward_identity_logits():
-    arch = ArchSpec((2, 2))
-    values = np.zeros(arch.num_params())
-    values[:4] = np.eye(2).ravel()
-    probs = forward(ModelParams(arch, values), [10.0, 0.0])
-    assert probs[0] == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), rel=1e-12)
-
-
-def test_forward_dim_mismatch():
-    params = _zero_params(ArchSpec((3, 2)))
-    with pytest.raises(ValueError):
-        forward(params, [1.0, 2.0])
-
-
-def test_forward_large_logits_stable():
-    arch = ArchSpec((2, 2))
-    values = np.zeros(arch.num_params())
-    values[:4] = np.eye(2).ravel() * 500.0
-    probs = forward(ModelParams(arch, values), [2.0, 0.0])
-    assert np.all(np.isfinite(probs))
-    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31))
-def test_forward_normalizes(seed):
-    rng = np.random.default_rng(seed)
-    arch = ArchSpec((4, 6, 3))
-    params = ModelParams(arch, rng.standard_normal(arch.num_params()))
-    probs = forward(params, rng.standard_normal(4))
-    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(probs >= 0.0)
 
 
 def test_loss_zero_params_is_log_classes():
@@ -293,6 +252,35 @@ def test_evaluate_perfect_separation():
     params = ModelParams(arch, values)
     accuracy, _ = evaluate(params, LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1], 2, 2))
     assert accuracy == 1.0
+
+
+def test_forward_large_logits_stable():
+    # An identity scaled so that the logits (1000, 0) overflow exp unless
+    # they are shifted by their row maximum.
+    arch = ArchSpec((2, 2))
+    values = np.zeros(arch.num_params())
+    values[:4] = np.eye(2).ravel() * 500.0
+    params = ModelParams(arch, values)
+    accuracy, loss = evaluate(params, LabeledDataset(np.array([[2.0, 0.0]]), [0], 2, 2))
+    assert accuracy == 1.0
+    assert loss == pytest.approx(0.0, abs=1e-9)
+    loss, grad = loss_and_grad(params, [[2.0, 0.0]], [1])
+    assert loss == pytest.approx(1000.0, rel=1e-12)
+    assert np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("labels", [[-1, 0], [3, 0]], ids=["negative", "past_last_class"])
+def test_labels_outside_the_output_layer_are_rejected(labels):
+    """Without a workspace, both functions check labels against the 3
+    outputs: -1 would otherwise index the last class, 3 raise IndexError."""
+    params = init_he(ArchSpec((2, 3)), 0)
+    features = np.ones((2, 2))
+    with pytest.raises(ValueError, match=r"labels must lie in 0\.\.2"):
+        loss_and_grad(params, features, labels)
+    ds = LabeledDataset(features, [0, 0], 3, 2)
+    ds.labels = np.array(labels)  # past LabeledDataset's own check
+    with pytest.raises(ValueError, match=r"labels must lie in 0\.\.2"):
+        evaluate(params, ds)
 
 
 def test_evaluate_empty_error():
