@@ -24,15 +24,17 @@ directory fails at once. A staging directory is named
 a SIGKILL, is removed by the next run that stages in the same directory.
 
 Exit codes: 0 success (every number written is finite), 2 config error (an
-unreadable dataset CSV included, or an empty shard under a policy that visits
-every node), 3 runtime/simulation error or a diverged trial (after all outputs
-are written).
+unreadable dataset CSV included, a CSV feature of magnitude above
+``FEATURE_LIMIT``, or an empty shard under a policy that visits every node),
+3 runtime/simulation error or a diverged trial (after all outputs are
+written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -50,6 +52,10 @@ from .simulator import TRIAL_STATUSES, TrialsSummary, run_trials
 
 CSV_COLUMNS = "trial,iteration,transmissions,holder,test_loss,test_accuracy"
 STAGING_PREFIX = ".tramfl-staging-"
+# A feature no larger than this, times a weight no larger than it, stays
+# finite. A row beyond it overflows every evaluation, whatever the model, so
+# it is rejected as data rather than reported later as a diverged trial.
+FEATURE_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def _staging_dir(parent) -> str:
@@ -76,9 +82,16 @@ def _staging_dir(parent) -> str:
 def _read_csv(d, key) -> LabeledDataset:
     path = getattr(d, key)
     try:
-        return load_csv(path, has_header=d.header)
+        data = load_csv(path, has_header=d.header)
     except OSError as exc:
         raise ConfigError(f"dataset.{key}: cannot read {path}: {exc.strerror}") from None
+    too_large = np.flatnonzero((np.abs(data.features) > FEATURE_LIMIT).any(axis=1))
+    if len(too_large):
+        raise ConfigError(
+            f"dataset.{key}: row {too_large[0] + 1} of {path} has a feature of magnitude "
+            f"above {FEATURE_LIMIT!r}"
+        )
+    return data
 
 
 def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:

@@ -8,6 +8,7 @@ streams, so every operation here is a pure function of its arguments.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +118,20 @@ def generate_synthetic_split(
     )
 
 
+def _ascii_float(text: str) -> float:
+    """``float(text)`` without the underscores and non-ASCII digits that
+    ``float`` also accepts, so ``1_0.5`` is not read as 10.5."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 def load_csv(path, has_header: bool = False) -> LabeledDataset:
     """Read a dataset from ``label,f1,...,fd`` lines.
 
-    The label must be a nonnegative integer literal; the feature width is
-    fixed by the first data row. Blank lines are ignored. Raises
+    The label must be a nonnegative integer of ASCII digits, and each feature
+    an ASCII float literal with no ``_``; the feature width is fixed by the
+    first data row. Blank lines are ignored. Raises
     :class:`ParseError` with the 1-based line number on malformed input.
     """
     rows: list[list[float]] = []
@@ -138,12 +148,11 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
             fields = line.split(",")
             if len(fields) < 2:
                 raise ParseError(f"{path}: line {lineno}: expected 'label,f1,...', got {line!r}")
-            try:
-                label = int(fields[0])
-            except ValueError:
+            if not re.fullmatch(r"-?[0-9]+", fields[0].strip()):
                 raise ParseError(
                     f"{path}: line {lineno}: label must be an integer, got {fields[0]!r}"
-                ) from None
+                )
+            label = int(fields[0])
             if label < 0:
                 raise ParseError(f"{path}: line {lineno}: negative label {label}")
             if dims is None:
@@ -153,7 +162,7 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
                     f"{path}: line {lineno}: expected {dims} features, got {len(fields) - 1}"
                 )
             try:
-                feats = [float(f) for f in fields[1:]]
+                feats = [_ascii_float(f) for f in fields[1:]]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric feature value") from None
             if not all(map(math.isfinite, feats)):

@@ -14,7 +14,6 @@ import hashlib
 import math
 import statistics
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -317,23 +316,6 @@ class TrialsSummary:
     n_reached: int
 
 
-def _sample_std(values: list[int]) -> float:
-    """Sample standard deviation of two or more ints, correctly rounded.
-
-    The variance is an exact Fraction; its square root is taken with
-    ``math.isqrt`` to about 55 bits, rounded to odd, then to a float. This
-    is how ``statistics.stdev`` rounds from Python 3.11 on; 3.10 rounds
-    differently in the last bit.
-    """
-    mean = Fraction(sum(values), len(values))
-    variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    num, den = variance.numerator, variance.denominator
-    shift = (num.bit_length() - den.bit_length() - 109) // 2
-    num, den = num << max(-2 * shift, 0), den << max(2 * shift, 0)
-    root = math.isqrt(num // den)
-    return math.ldexp(root | (root * root * den != num), shift)
-
-
 def run_trials(shards, test_set, cfg: RunConfig, num_trials: int = 1) -> TrialsSummary:
     """Repeat a ``cfg.policy`` run with seeds cfg.seed, cfg.seed+1, ... and summarize.
 
@@ -359,7 +341,7 @@ def run_trials(shards, test_set, cfg: RunConfig, num_trials: int = 1) -> TrialsS
     reached = [v for v in per_trial if v is not None]
     mean = statistics.fmean(reached) if reached else None
     if len(reached) >= 2:
-        std = _sample_std(reached)
+        std = statistics.stdev(reached)
     elif len(reached) == 1:
         std = 0.0
     else:

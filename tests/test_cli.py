@@ -607,24 +607,56 @@ def test_diverging_trials_stop_warn_and_exit_3(tmp_path, capsys, eta):
     assert not (outs[0] / "status.json").exists()
 
 
-def test_csv_test_row_near_float_max_exits_3(tmp_path, capsys):
-    """Found by test_cli_fuzz: this test row overflows every evaluation, and
-    the run used to write nan losses and exit 0."""
-    (tmp_path / "train.csv").write_text("0,0,0,0\n1,0,0,0\n")
-    (tmp_path / "test.csv").write_text("0,0,-1e308,0\n")
+def _float_range_case(tmp_path, train, test, seed=0):
+    (tmp_path / "train.csv").write_text(train)
+    (tmp_path / "test.csv").write_text(test)
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
         "[partition]\nscheme = contiguous\nnodes = 2\n\n"
         "[learner]\nlayers = 3,8,2\neta = 0.1\nbatch = 2\n\n"
-        "[run]\niterations = 20\ntarget_accuracy = 0.9\n\n"
+        f"[run]\niterations = 20\ntarget_accuracy = 0.9\nseed = {seed}\n\n"
         "[policies]\ndynamic = dynamic\nring = static:1,0\ngossip = gossip\n"
     )
-    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.count(" diverged: ") == 3
-    status = json.loads((tmp_path / "out" / "status.json").read_text())
-    assert {label: counts["diverged"] for label, counts in status.items()} == {
-        "dynamic": 1, "ring": 1, "gossip": 1}
+    return cfg_path
+
+
+def test_csv_test_row_near_float_max_is_config_error(tmp_path, capsys):
+    """Found by test_cli_fuzz: this test row overflows every evaluation. The
+    run used to write nan losses and exit 0, then to blame every trial as
+    diverged at transmission 1; the He-initialised loss on it is finite for
+    some seeds, so the row is rejected by magnitude, whatever the seed."""
+    bound = math.sqrt(sys.float_info.max)
+    for seed in range(6):
+        cfg_path = _float_range_case(tmp_path, "0,0,0,0\n1,0,0,0\n", "0,0,-1e308,0\n", seed)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: dataset.test: row 1 of {tmp_path / 'test.csv'} has a feature "
+            f"of magnitude above {bound!r}\n")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["train", "test"])
+def test_csv_feature_magnitude_bound(tmp_path, capsys, key):
+    """A feature at sqrt(float max) loads; the next float above it, in either
+    file and of either sign, is a config error naming the file and its row."""
+    bound = math.sqrt(sys.float_info.max)
+
+    def case(row):
+        files = {"train": "0,0,0,0\n1,0,0,0\n", "test": "0,0,0,0\n1,0,0,0\n"}
+        files[key] += row
+        return _float_range_case(tmp_path, files["train"], files["test"])
+
+    loaded = dict(zip(["train", "test"], cli._build_datasets(parse_config(
+        case(f"1,0,{-bound!r},{bound!r}\n")))))
+    assert loaded[key].features[2].tolist() == [0.0, -bound, bound]
+    beyond = math.nextafter(bound, math.inf)
+    for value in (beyond, -beyond):
+        assert main(["run", str(case(f"1,0,{value!r},0\n")), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: dataset.{key}: row 3 of {tmp_path / f'{key}.csv'} has a feature "
+            f"of magnitude above {bound!r}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_enumerate_static_routes_table():

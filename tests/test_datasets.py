@@ -143,7 +143,7 @@ def test_csv_non_integer_label(tmp_path):
 
 def _load_text(tmp_path, text):
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return load_csv(path)
 
 
@@ -155,8 +155,16 @@ def _load_text(tmp_path, text):
     # the blank line 2 is skipped but still counted
     (lambda tmp: _load_text(tmp, "0,1.0\n\n1\n"), ParseError, "line 3: expected 'label,f1"),
     (lambda tmp: _load_text(tmp, "0,1.0\n1,inf\n"), ParseError, "line 2: non-finite"),
+    # int() and float() accept underscores and non-ASCII digits: 1_0 read as class 10
+    (lambda tmp: _load_text(tmp, "0,0,0\n1_0,0,0\n"), ParseError,
+     "line 2: label must be an integer, got '1_0'"),
+    (lambda tmp: _load_text(tmp, "0,1_0.5,0\n"), ParseError, "line 1: non-numeric feature"),
+    (lambda tmp: _load_text(tmp, "0,0\n\u0663,0\n"), ParseError,
+     "line 2: label must be an integer"),
+    (lambda tmp: _load_text(tmp, "0,\u0661.5\n"), ParseError, "line 1: non-numeric feature"),
 ], ids=["shape_mismatch", "label_above_range", "negative_label", "one_field_after_blank_line",
-        "non_finite_feature"])
+        "non_finite_feature", "underscore_label", "underscore_feature", "arabic_indic_label",
+        "arabic_indic_feature"])
 def test_dataset_checks(tmp_path, make, error, fragment):
     with pytest.raises(error) as info:
         make(tmp_path)

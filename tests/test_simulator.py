@@ -1,13 +1,7 @@
-import math
-import statistics
-import sys
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from tramfl import (
     ArchSpec,
@@ -454,23 +448,6 @@ def test_run_trials_single_trial_convention(small_task):
     assert summary.n_reached == 1
     assert summary.std == 0.0
     assert summary.mean == summary.per_trial[0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=10**40), min_size=2, max_size=10))
-@example([187, 108, 157])  # quickstart dynamic; 3.10's statistics.stdev is 1 ulp low
-def test_sample_std_is_correctly_rounded(values):
-    """The exact variance lies between the squares of the midpoints from the
-    result to its float neighbours, so no other float is nearer the true
-    standard deviation; from Python 3.11 on, statistics.stdev agrees."""
-    got = simulator._sample_std(values)
-    mean = Fraction(sum(values), len(values))
-    variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    below = max((Fraction(got) + Fraction(math.nextafter(got, -math.inf))) / 2, 0)
-    above = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
-    assert below ** 2 <= variance <= above ** 2
-    if sys.version_info >= (3, 11):
-        assert got == statistics.stdev(values)
 
 
 def test_run_trials_deterministic_and_seeded(small_task):
