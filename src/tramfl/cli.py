@@ -19,9 +19,10 @@ staged file is moved into place with ``os.replace``, the dump last. A run
 that fails or is interrupted before then leaves the files in ``<dir>`` as
 they were, and its staging directories are removed however it ends. Both
 are made before the first policy runs, so a dump path in a missing
-directory fails at once. A staging directory is named
-``.tramfl-staging-<pid>-*``; one whose process no longer exists, as after
-a SIGKILL, is removed by the next run that stages in the same directory.
+directory, or one that is a directory, fails at once. A staging directory
+is named ``.tramfl-staging-<pid>-*``; one whose process no longer exists,
+as after a SIGKILL, is removed by the next run that stages in the same
+directory.
 
 Exit codes: 0 success (every number written is finite), 2 config error (an
 unreadable dataset CSV included, a CSV feature of magnitude above
@@ -33,6 +34,7 @@ written).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -43,7 +45,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, _check_partition_fits, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .datasets import LabeledDataset, generate_synthetic_split, load_csv
 from .errors import ParseError, StateError
 from .learner import ModelParams
@@ -111,8 +113,7 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatas
         raise ConfigError(
             f"learner.layers: last size {layers[-1]} is smaller than the CSV label range"
         )
-    class_totals = np.bincount(train.labels, minlength=train.num_classes)
-    absent = np.flatnonzero(class_totals == 0)
+    absent = np.flatnonzero(np.bincount(train.labels, minlength=train.num_classes) == 0)
     if len(absent):
         raise ConfigError(
             f"dataset.train: classes {absent.tolist()} have no rows in {d.train}; "
@@ -123,7 +124,6 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatas
         raise ConfigError(
             f"dataset.test: labels {unseen.tolist()} do not occur in the training set {d.train}"
         )
-    _check_partition_fits(cfg.partition, class_totals.tolist())
     return train, test
 
 
@@ -215,12 +215,17 @@ def run_experiment(
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
     train, test = _build_datasets(cfg)
-    shards = make_shards(train, cfg.partition)
+    try:
+        shards = make_shards(train, cfg.partition)
+    except ValueError as exc:
+        raise ConfigError(f"partition.{exc}") from None
     _check_shards_visitable(cfg, shards)
     os.makedirs(out_dir, exist_ok=True)
     staging, dump_staging = _staging_dir(out_dir), None
     try:
         if dump_model is not None:
+            if os.path.isdir(dump_model):  # os.replace would fail only after the last policy
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), dump_model)
             # Staged beside its target, so that os.replace stays on one filesystem.
             dump_staging = _staging_dir(os.path.dirname(os.path.abspath(dump_model)))
             staged_dump = os.path.join(dump_staging, os.path.basename(dump_model))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .learner import ArchSpec
-from .partition import PartitionPlan
+from .partition import PartitionPlan, check_fits
 from .routing import enumerate_static_routes
 from .simulator import PolicySpec, RunConfig
 
@@ -146,17 +146,18 @@ _VARIANTS = {
     "dataset": ("kind", ("synthetic", "csv")),
     "partition": ("scheme", ("contiguous", "random_k", "exponential", "table")),
 }
-# Each section's range rules in check order, as keys -> rule. A rule over
-# several keys ("a/b") holds for each of them present. _RULES tests a value.
+# Each section's range rules in check order, as key -> rule. _RULES tests a
+# value. The [partition] rules beyond these are PartitionPlan's own.
 _BOUNDS = {
     "dataset": {
-        "classes": ">= 2", "dims": ">= 1", "per_class/test_per_class": ">= 1",
+        "classes": ">= 2", "dims": ">= 1", "per_class": ">= 1", "test_per_class": ">= 1",
         "separation": "> 0", "seed": ">= 0",
     },
-    "partition": {"nodes": ">= 2", "rate": "> 0", "seed": ">= 0"},
+    "partition": {"nodes": ">= 2", "seed": ">= 0"},
     "learner": {"eta": "> 0", "batch": ">= 1"},
     "run": {
-        "iterations/interval/eval_every/trials": ">= 1", "target_accuracy": "in (0, 1]", "seed": ">= 0",
+        "iterations": ">= 1", "interval": ">= 1", "eval_every": ">= 1", "trials": ">= 1",
+        "target_accuracy": "in (0, 1]", "seed": ">= 0",
     },
 }
 _RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
@@ -202,53 +203,21 @@ def _take_section(raw_sections, name) -> dict:
             raise ConfigError(f"{name}.{key}: not valid for {variant_key}={variant}")
         if key not in parsed and isinstance(rule, dict) and rule.get(variant):
             raise ConfigError(f"{name}.{key}: missing required key")
-    for keys, rule in _BOUNDS[name].items():
-        values = [parsed[key] for key in keys.split("/") if key in parsed]
-        if not all(map(_RULES[rule], values)):
-            got = "" if "/" in keys else f", got {values[0]}"
-            raise ConfigError(f"{name}.{keys}: must be {rule}{got}")
+    for key, rule in _BOUNDS[name].items():
+        if key in parsed and not _RULES[rule](parsed[key]):
+            raise ConfigError(f"{name}.{key}: must be {rule}, got {parsed[key]}")
     return parsed
 
 
 def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
-    plan = PartitionPlan(**parsed)
-    if plan.scheme == "random_k" and not 1 <= plan.k_min <= plan.k_max:
-        raise ConfigError(f"partition.k_min: need 1 <= k_min <= k_max, got [{plan.k_min}, {plan.k_max}]")
-    if plan.scheme == "table":
-        if len(plan.counts) != plan.nodes:
-            raise ConfigError(f"partition.counts: {len(plan.counts)} rows for {plan.nodes} nodes")
-        for row in plan.counts:
-            if len(row) != 2 or any(n < 0 for n in row):
-                raise ConfigError(f"partition.counts: each row must be two nonnegative ints, got {row}")
-    if dataset.kind == "synthetic":
-        _check_partition_fits(plan, [dataset.per_class] * dataset.classes)
+    """The PartitionPlan; synthetic data is checked here, CSV data once loaded."""
+    try:
+        plan = PartitionPlan(**parsed)
+        if dataset.kind == "synthetic":
+            check_fits(plan, [dataset.per_class] * dataset.classes)
+    except ValueError as exc:
+        raise ConfigError(f"partition.{exc}") from None
     return plan
-
-
-def _check_partition_fits(plan: PartitionPlan, class_totals) -> None:
-    """The [partition] checks that need the training set: ``class_totals[c]``
-    is its number of rows of class c. Synthetic data is checked at parse
-    time, CSV data once it is loaded."""
-    classes = len(class_totals)
-    if plan.scheme == "contiguous" and plan.nodes > classes:
-        raise ConfigError(f"partition.nodes: {plan.nodes} exceeds {classes} labels")
-    if plan.scheme == "random_k":
-        if plan.k_max > classes:
-            raise ConfigError(f"partition.k_max: exceeds {classes} classes")
-        if plan.nodes * plan.k_max < classes:
-            raise ConfigError(
-                f"partition.k_max: coverage unattainable, {plan.nodes} x {plan.k_max} < {classes}"
-            )
-    if plan.scheme in ("exponential", "table") and classes != 2:
-        raise ConfigError(f"partition.scheme: {plan.scheme} needs a 2-class dataset, got {classes}")
-    if plan.scheme == "table":
-        for c, held in enumerate(class_totals):
-            asked = sum(row[c] for row in plan.counts)
-            if asked > held:
-                raise ConfigError(
-                    f"partition.counts: the nodes ask for {asked} samples of class {c}, "
-                    f"the training set holds {held}"
-                )
 
 
 def _check_learner(parsed, dataset: DatasetSection) -> None:

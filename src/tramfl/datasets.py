@@ -132,14 +132,19 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     The label must be a nonnegative integer of ASCII digits, and each feature
     an ASCII float literal with no ``_``; the feature width is fixed by the
     first data row. Blank lines are ignored. Raises
-    :class:`ParseError` with the 1-based line number on malformed input.
+    :class:`ParseError` with the 1-based line number on malformed input,
+    text that is not UTF-8 included.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     dims = None
     max_label = -1
-    with open(path, encoding="utf-8") as handle:
+    # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF, so
+    # it is reported with its line rather than by the decoder.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
+            if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+                raise ParseError(f"{path}: line {lineno}: byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8")
             if has_header and lineno == 1:
                 continue
             line = line.strip()

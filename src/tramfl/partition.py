@@ -3,6 +3,11 @@
 Three schemes: contiguous label groups (disjoint), random label subsets per
 node (overlapping, coverage-enforced), and a two-class exponential skew with
 either an analytic rate or an explicit per-node count table.
+
+Each split rule is stated once, on the plan alone in ``PartitionPlan`` and
+against the training set's class totals in :func:`check_fits`. Its
+``ValueError`` starts with the field it names, a ``[partition]`` config key,
+so the config reports the same text behind a ``partition.`` prefix.
 """
 
 from __future__ import annotations
@@ -31,6 +36,11 @@ class DatasetShard:
     total: int
 
 
+# The fields each scheme needs besides ``nodes``.
+_SCHEME_FIELDS = {"contiguous": (), "random_k": ("k_min", "k_max"), "exponential": ("rate",),
+                  "table": ("counts",)}
+
+
 @dataclass(frozen=True)
 class PartitionPlan:
     """Declarative description of a split, as read from an experiment config."""
@@ -42,6 +52,46 @@ class PartitionPlan:
     rate: float | None = None
     counts: tuple[tuple[int, ...], ...] | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.scheme not in _SCHEME_FIELDS:
+            raise ValueError(f"scheme: expected one of {tuple(_SCHEME_FIELDS)}, got {self.scheme!r}")
+        for name in _SCHEME_FIELDS[self.scheme]:
+            if getattr(self, name) is None:
+                raise ValueError(f"{name}: required for scheme={self.scheme}")
+        if self.nodes < 1:
+            raise ValueError(f"nodes: must be >= 1, got {self.nodes}")
+        if self.scheme == "random_k" and not 1 <= self.k_min <= self.k_max:
+            raise ValueError(f"k_min: need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+        if self.scheme == "exponential" and not self.rate > 0:
+            raise ValueError(f"rate: must be > 0, got {self.rate}")
+        if self.scheme == "table":
+            if len(self.counts) != self.nodes:
+                raise ValueError(f"counts: {len(self.counts)} rows for {self.nodes} nodes")
+            for row in self.counts:
+                if len(row) != 2 or any(n < 0 for n in row):
+                    raise ValueError(f"counts: each row must be two nonnegative ints, got {row}")
+
+
+def check_fits(plan: PartitionPlan, class_totals) -> None:
+    """The rules of ``plan`` that need the training set: ``class_totals[c]``
+    is its number of rows of class c."""
+    classes = len(class_totals)
+    if plan.scheme == "contiguous" and plan.nodes > classes:
+        raise ValueError(f"nodes: {plan.nodes} exceeds {classes} labels")
+    if plan.scheme == "random_k":
+        if plan.k_max > classes:
+            raise ValueError(f"k_max: exceeds {classes} classes")
+        if plan.nodes * plan.k_max < classes:
+            raise ValueError(f"k_max: coverage unattainable, {plan.nodes} x {plan.k_max} < {classes}")
+    if plan.scheme in ("exponential", "table") and classes != 2:
+        raise ValueError(f"scheme: {plan.scheme} needs a 2-class dataset, got {classes}")
+    if plan.scheme == "table":
+        for c, held in enumerate(class_totals):
+            asked = sum(row[c] for row in plan.counts)
+            if asked > held:
+                raise ValueError(f"counts: the nodes ask for {asked} samples of class {c}, "
+                                 f"the training set holds {held}")
 
 
 def make_shard(node_id: int, ds: LabeledDataset, rows) -> DatasetShard:
@@ -66,12 +116,7 @@ def split_contiguous_labels(ds: LabeledDataset, num_nodes: int) -> list[DatasetS
     Remainder labels go to the last nodes, so 10 classes over 3 nodes yields
     group sizes 3, 3, 4. Every sample lands in exactly one shard.
     """
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    if num_nodes > ds.num_classes:
-        raise ValueError(
-            f"cannot split {ds.num_classes} labels contiguously over {num_nodes} nodes"
-        )
+    check_fits(PartitionPlan("contiguous", num_nodes), np.bincount(ds.labels, minlength=ds.num_classes))
     base, rem = divmod(ds.num_classes, num_nodes)
     sizes = [base] * (num_nodes - rem) + [base + 1] * rem
     label_sets = []
@@ -93,12 +138,8 @@ def split_random_k_labels(
     duplicated into each of those shards.
     """
     num_classes = ds.num_classes
-    if not 1 <= k_min <= k_max <= num_classes:
-        raise ValueError(f"need 1 <= k_min <= k_max <= {num_classes}, got [{k_min}, {k_max}]")
-    if num_nodes * k_max < num_classes:
-        raise ValueError(
-            f"label coverage unattainable: {num_nodes} nodes x {k_max} labels < {num_classes}"
-        )
+    class_totals = np.bincount(ds.labels, minlength=num_classes)
+    check_fits(PartitionPlan("random_k", num_nodes, k_min, k_max), class_totals)
     for _ in range(MAX_COVERAGE_ATTEMPTS):
         sizes = rng.integers(k_min, k_max + 1, size=num_nodes)
         label_sets = [set(rng.choice(num_classes, size=k, replace=False).tolist()) for k in sizes]
@@ -109,7 +150,7 @@ def split_random_k_labels(
     )
 
 
-def _assign_by_counts(ds: LabeledDataset, counts: list[list[int]]) -> list[DatasetShard]:
+def _assign_by_counts(ds: LabeledDataset, counts) -> list[DatasetShard]:
     """Assign the first available samples of each class, in dataset order."""
     by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
     cursors = [0] * ds.num_classes
@@ -117,11 +158,6 @@ def _assign_by_counts(ds: LabeledDataset, counts: list[list[int]]) -> list[Datas
     for node_id, row in enumerate(counts):
         picked = []
         for c, n in enumerate(row):
-            avail = len(by_class[c]) - cursors[c]
-            if n > avail:
-                raise ValueError(
-                    f"node {node_id} requests {n} samples of class {c}, only {avail} remain"
-                )
             picked.append(by_class[c][cursors[c] : cursors[c] + n])
             cursors[c] += n
         shards.append(make_shard(node_id, ds, np.sort(np.concatenate(picked))))
@@ -143,22 +179,15 @@ def split_exponential_binary(
     each normalized over nodes; shares are converted to integer counts by
     cumulative rounding so per-class totals are conserved exactly.
     """
-    if ds.num_classes != 2:
-        raise ValueError(f"exponential split needs exactly 2 classes, got {ds.num_classes}")
     if (rate is None) == (counts is None):
         raise ValueError("give exactly one of rate= or counts=")
-    if counts is not None:
-        counts = [list(row) for row in counts]
-        if len(counts) != num_nodes:
-            raise ValueError(f"counts has {len(counts)} rows, expected {num_nodes}")
-        for row in counts:
-            if len(row) != 2 or any(n < 0 for n in row):
-                raise ValueError(f"each counts row must be two nonnegative ints, got {row}")
-        return _assign_by_counts(ds, counts)
-
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
     class_totals = np.bincount(ds.labels, minlength=ds.num_classes)
+    if counts is not None:
+        plan = PartitionPlan("table", num_nodes, counts=tuple(map(tuple, counts)))
+        check_fits(plan, class_totals)
+        return _assign_by_counts(ds, plan.counts)
+
+    check_fits(PartitionPlan("exponential", num_nodes, rate=rate), class_totals)
     density = np.array([math.exp(-rate * v) for v in range(num_nodes)])
     ccm = np.array([1.0 - math.exp(-rate * (v + 1)) for v in range(num_nodes)])
     table = []
@@ -179,6 +208,4 @@ def make_shards(ds: LabeledDataset, plan: PartitionPlan) -> list[DatasetShard]:
         return split_random_k_labels(ds, plan.nodes, plan.k_min, plan.k_max, rng)
     if plan.scheme == "exponential":
         return split_exponential_binary(ds, plan.nodes, rate=plan.rate)
-    if plan.scheme == "table":
-        return split_exponential_binary(ds, plan.nodes, counts=[list(r) for r in plan.counts])
-    raise ValueError(f"unknown partition scheme {plan.scheme!r}")
+    return split_exponential_binary(ds, plan.nodes, counts=plan.counts)

@@ -364,6 +364,21 @@ def test_unwritable_dump_path_fails_before_training(smoke_config, tmp_path, monk
     assert os.listdir(tmp_path / "out") == []
 
 
+def test_dump_path_that_is_a_directory_fails_before_training(smoke_config, tmp_path, monkeypatch, capsys):
+    """The dump could not replace a directory after the last policy, so the
+    run fails before the first one and publishes nothing."""
+    started = []
+    _wrap_run_trials(monkeypatch, before=started.append)
+    dump = tmp_path / "dd"
+    dump.mkdir()
+    argv = ["run", str(smoke_config), "--out", str(tmp_path / "out"), "--dump-model", str(dump)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{dump}'\n"
+    assert started == []
+    assert os.listdir(tmp_path / "out") == []
+    assert os.listdir(dump) == []
+
+
 def test_target_required_for_experiments(smoke_config, tmp_path):
     text = smoke_config.read_text().replace("target_accuracy = 0.9\n", "")
     smoke_config.write_text(text)

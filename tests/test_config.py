@@ -413,9 +413,9 @@ SINGLE_FAULTS = [
      "classes = 4", "classes = 1", "dataset.classes: must be >= 2, got 1"),
     ("dims_range", FULL_TEXT, "dims = 4", "dims = 0", "dataset.dims: must be >= 1, got 0"),
     ("per_class_range", FULL_TEXT, "per_class = 40", "per_class = 0",
-     "dataset.per_class/test_per_class: must be >= 1"),
+     "dataset.per_class: must be >= 1, got 0"),
     ("test_per_class_range", FULL_TEXT, "test_per_class = 20", "test_per_class = 0",
-     "dataset.per_class/test_per_class: must be >= 1"),
+     "dataset.test_per_class: must be >= 1, got 0"),
     ("separation_range", FULL_TEXT, "separation = 3.0", "separation = -1.5",
      "dataset.separation: must be > 0, got -1.5"),
     ("scheme_value", CONTIGUOUS_TEXT, "scheme = contiguous", "scheme = zigzag",
@@ -455,13 +455,11 @@ SINGLE_FAULTS = [
     ("eta_range", FULL_TEXT, "eta = 0.05", "eta = -0.05", "learner.eta: must be > 0, got -0.05"),
     ("batch_range", FULL_TEXT, "batch = 8", "batch = 0", "learner.batch: must be >= 1, got 0"),
     ("iterations_range", FULL_TEXT, "iterations = 300", "iterations = 0",
-     "run.iterations/interval/eval_every/trials: must be >= 1"),
-    ("interval_range", FULL_TEXT, "interval = 2", "interval = 0",
-     "run.iterations/interval/eval_every/trials: must be >= 1"),
+     "run.iterations: must be >= 1, got 0"),
+    ("interval_range", FULL_TEXT, "interval = 2", "interval = 0", "run.interval: must be >= 1, got 0"),
     ("eval_every_range", FULL_TEXT, "eval_every = 1", "eval_every = 0",
-     "run.iterations/interval/eval_every/trials: must be >= 1"),
-    ("trials_range", FULL_TEXT, "trials = 2", "trials = 0",
-     "run.iterations/interval/eval_every/trials: must be >= 1"),
+     "run.eval_every: must be >= 1, got 0"),
+    ("trials_range", FULL_TEXT, "trials = 2", "trials = 0", "run.trials: must be >= 1, got 0"),
     ("target_range", FULL_TEXT, "target_accuracy = 0.9", "target_accuracy = 0",
      "run.target_accuracy: must be in (0, 1], got 0.0"),
     ("count_exchanges_once_type", FULL_TEXT, "seed = 11\n", "seed = 11\ncount_exchanges_once = maybe\n",

@@ -8,7 +8,7 @@ from tramfl import (
     split_exponential_binary,
     split_random_k_labels,
 )
-from tramfl import partition
+from tramfl import ConfigError, parse_config_text, partition
 from tramfl.partition import PartitionPlan, make_shards
 
 REVIEW_TABLE_V3 = [[10125, 2625], [2000, 4750], [375, 5125]]
@@ -95,13 +95,14 @@ def test_random_k_coverage_unattainable():
 
 
 @pytest.mark.parametrize("make, error, fragment", [
-    (lambda ds: split_contiguous_labels(ds, 0), ValueError, "num_nodes must be >= 1"),
+    (lambda ds: split_contiguous_labels(ds, 0), ValueError, "nodes: must be >= 1, got 0"),
     (lambda ds: split_random_k_labels(ds, 2, 1, 1, np.random.default_rng(0)),
      StateError, "no full label coverage after 1 "),
-    (lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1]]), ValueError, "1 rows, expected 2"),
+    (lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1]]),
+     ValueError, "counts: 1 rows for 2 nodes"),
     (lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1], [1]]),
      ValueError, "two nonnegative ints"),
-    (lambda ds: split_exponential_binary(ds, 2, rate=0.0), ValueError, "rate must be > 0"),
+    (lambda ds: split_exponential_binary(ds, 2, rate=0.0), ValueError, "rate: must be > 0"),
 ], ids=["contiguous_nodes", "coverage_cap", "counts_rows", "counts_row_shape", "rate"])
 def test_partition_checks(monkeypatch, make, error, fragment):
     # Two nodes of one label each cover both classes with odds 1/2 per draw;
@@ -161,7 +162,8 @@ def test_exponential_table_v5(review_shaped):
 
 def test_exponential_table_exceeding_availability():
     ds = generate_synthetic(2, 2, 10, 2.0, 0)
-    with pytest.raises(ValueError, match="remain"):
+    with pytest.raises(ValueError, match="counts: the nodes ask for 13 samples of class 0, "
+                                         "the training set holds 10"):
         split_exponential_binary(ds, 2, counts=[[8, 5], [5, 5]])
 
 
@@ -215,3 +217,80 @@ def test_make_shards_dispatch(mnist_shaped):
     assert np.array_equal([s.hist.counts for s in a], [s.hist.counts for s in b])
     with pytest.raises(ValueError):
         make_shards(mnist_shaped, PartitionPlan("nope", 3))
+
+
+_PARITY_CONFIG = """
+[dataset]
+kind = synthetic
+classes = {classes}
+dims = 2
+per_class = 10
+separation = 3.0
+
+[partition]
+{partition}
+
+[learner]
+layers = 2,{classes}
+eta = 0.1
+batch = 4
+
+[run]
+iterations = 10
+
+[policies]
+dynamic = dynamic
+"""
+
+
+# (id, classes, [partition] body, the same plan as a library call on a
+# dataset of 10 rows per class): one case per rule that a config can break.
+PARITY = [
+    ("k_range", 4, "scheme = random_k\nnodes = 3\nk_min = 3\nk_max = 2",
+     lambda ds: split_random_k_labels(ds, 3, 3, 2, np.random.default_rng(0))),
+    ("rate", 2, "scheme = exponential\nnodes = 3\nrate = 0",
+     lambda ds: split_exponential_binary(ds, 3, rate=0.0)),
+    ("counts_rows", 2, "scheme = table\nnodes = 3\ncounts = 1,1; 1,1",
+     lambda ds: split_exponential_binary(ds, 3, counts=[[1, 1], [1, 1]])),
+    ("counts_row_shape", 2, "scheme = table\nnodes = 2\ncounts = 1,1; 1,-1",
+     lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1], [1, -1]])),
+    ("contiguous_fit", 4, "scheme = contiguous\nnodes = 5",
+     lambda ds: split_contiguous_labels(ds, 5)),
+    ("k_max_fit", 4, "scheme = random_k\nnodes = 3\nk_min = 1\nk_max = 5",
+     lambda ds: split_random_k_labels(ds, 3, 1, 5, np.random.default_rng(0))),
+    ("coverage", 4, "scheme = random_k\nnodes = 3\nk_min = 1\nk_max = 1",
+     lambda ds: split_random_k_labels(ds, 3, 1, 1, np.random.default_rng(0))),
+    ("two_classes", 4, "scheme = exponential\nnodes = 3\nrate = 1.0",
+     lambda ds: split_exponential_binary(ds, 3, rate=1.0)),
+    ("two_classes_table", 3, "scheme = table\nnodes = 2\ncounts = 1,1; 1,1",
+     lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1], [1, 1]])),
+    ("table_fit", 2, "scheme = table\nnodes = 2\ncounts = 8,5; 5,5",
+     lambda ds: split_exponential_binary(ds, 2, counts=[[8, 5], [5, 5]])),
+]
+
+
+@pytest.mark.parametrize("classes, body, split", [case[1:] for case in PARITY],
+                         ids=[case[0] for case in PARITY])
+def test_library_and_config_give_one_message(classes, body, split):
+    with pytest.raises(ConfigError) as config_error:
+        parse_config_text(_PARITY_CONFIG.format(classes=classes, partition=body))
+    with pytest.raises(ValueError) as library_error:
+        split(generate_synthetic(classes, 2, 10, 3.0, 0))
+    assert str(config_error.value) == f"partition.{library_error.value}"
+
+
+# The rules a config cannot reach: it takes nodes >= 2 and reports a missing
+# key or an unknown scheme itself.
+@pytest.mark.parametrize("make, message", [
+    (lambda: PartitionPlan("contiguous", 0), "nodes: must be >= 1, got 0"),
+    (lambda: PartitionPlan("random_k", 3), "k_min: required for scheme=random_k"),
+    (lambda: PartitionPlan("random_k", 3, k_min=1), "k_max: required for scheme=random_k"),
+    (lambda: PartitionPlan("exponential", 3), "rate: required for scheme=exponential"),
+    (lambda: PartitionPlan("table", 3), "counts: required for scheme=table"),
+    (lambda: PartitionPlan("nope", 3),
+     "scheme: expected one of ('contiguous', 'random_k', 'exponential', 'table'), got 'nope'"),
+], ids=["nodes", "k_min", "k_max", "rate", "counts", "scheme"])
+def test_plan_names_the_field_at_fault(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
