@@ -2,10 +2,13 @@
 
 Sections: [dataset], [partition], [learner], [run], [policies]. Unknown
 sections or keys are rejected, and every error names the offending field as
-``section.key``. The [policies] section is the one free-form part: each key
-is a policy label (used in output file names) and each value one of
-``dynamic``, ``random``, ``gossip``, ``static:<route>``, or ``static:all``
-which expands to every route over the configured node count.
+``section.key``. The types that [partition], [learner] and [run] build
+(``PartitionPlan``, ``ArchSpec``, ``RunConfig``) state their own rules; this
+module states only [dataset]'s, ``partition.nodes >= 2``, ``run.trials`` and
+the checks across sections. The [policies] section is the one free-form
+part: each key is a policy label (used in output file names) and each value
+one of ``dynamic``, ``random``, ``gossip``, ``static:<route>``, or
+``static:all`` which expands to every route over the configured node count.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+from .datasets import ascii_number
 from .errors import ConfigError
 from .learner import ArchSpec
 from .partition import PartitionPlan, check_fits
@@ -55,14 +59,14 @@ class ExperimentConfig:
 
 def _parse_int(path, raw):
     try:
-        return int(raw)
+        return ascii_number(raw, int)
     except ValueError:
         raise ConfigError(f"{path}: expected an integer, got {raw!r}") from None
 
 
 def _parse_float(path, raw):
     try:
-        value = float(raw)
+        value = ascii_number(raw, float)
     except ValueError:
         raise ConfigError(f"{path}: expected a number, got {raw!r}") from None
     if not math.isfinite(value):
@@ -79,7 +83,7 @@ def _parse_bool(path, raw):
 
 def _parse_int_list(path, raw):
     try:
-        return tuple(int(part) for part in raw.split(","))
+        return tuple(ascii_number(part, int) for part in raw.split(","))
     except ValueError:
         raise ConfigError(f"{path}: expected comma-separated integers, got {raw!r}") from None
 
@@ -95,10 +99,10 @@ def _parse_str(path, raw):
 
 
 # Every section's keys in canonical order, as key -> (parser, rule). The rule
-# is True for a required key, False for an optional one, or {variant: required}
-# for a key that only those variants take. _VARIANTS names the key whose value
-# is a section's variant and lists its values. _take_section and format_config
-# both walk this table.
+# is True for a required key, False for an optional one, or {kind: required}
+# for a [dataset] key that only those kinds take; _VARIANTS names the variant
+# key and its values. Which [partition] keys a scheme takes is PartitionPlan's
+# rule. _take_section and format_config both walk this table.
 _SCHEMAS = {
     "dataset": {
         "kind": (_parse_str, True),
@@ -115,10 +119,10 @@ _SCHEMAS = {
     "partition": {
         "scheme": (_parse_str, True),
         "nodes": (_parse_int, True),
-        "k_min": (_parse_int, {"random_k": True}),
-        "k_max": (_parse_int, {"random_k": True}),
-        "rate": (_parse_float, {"exponential": True}),
-        "counts": (_parse_count_table, {"table": True}),
+        "k_min": (_parse_int, False),
+        "k_max": (_parse_int, False),
+        "rate": (_parse_float, False),
+        "counts": (_parse_count_table, False),
         "seed": (_parse_int, False),
     },
     "learner": {
@@ -138,30 +142,28 @@ _SCHEMAS = {
 }
 # Each [learner] and [run] key's RunConfig field; _build_run and format_config
 # both read it. run.trials has none, and an absent key takes RunConfig's default.
+# _RUN_KEYS maps a field that a RunConfig or ArchSpec error names back to its key.
 _RUN_FIELDS = {"layers": "arch", "eta": "learning_rate", "batch": "batch_size",
                "iterations": "max_iterations", "interval": "interval", "eval_every": "eval_every",
                "target_accuracy": "target_accuracy", "seed": "seed",
                "count_exchanges_once": "count_exchanges_once"}
-_VARIANTS = {
-    "dataset": ("kind", ("synthetic", "csv")),
-    "partition": ("scheme", ("contiguous", "random_k", "exponential", "table")),
-}
-# Each section's range rules in check order, as key -> rule. _RULES tests a
-# value. The [partition] rules beyond these are PartitionPlan's own.
+_RUN_KEYS = {field: f"{'learner' if key in _SCHEMAS['learner'] else 'run'}.{key}"
+             for key, field in _RUN_FIELDS.items()} | {"layer_sizes": "learner.layers"}
+_VARIANTS = {"dataset": ("kind", ("synthetic", "csv"))}
+# The range rules that no runtime type owns, in check order, as key -> rule;
+# _RULES tests a value. Every other [partition] rule is PartitionPlan's, and
+# every other [learner] and [run] rule RunConfig's or ArchSpec's. The library
+# takes one node; a config needs two.
 _BOUNDS = {
     "dataset": {
         "classes": ">= 2", "dims": ">= 1", "per_class": ">= 1", "test_per_class": ">= 1",
         "separation": "> 0", "seed": ">= 0",
     },
-    "partition": {"nodes": ">= 2", "seed": ">= 0"},
-    "learner": {"eta": "> 0", "batch": ">= 1"},
-    "run": {
-        "iterations": ">= 1", "interval": ">= 1", "eval_every": ">= 1", "trials": ">= 1",
-        "target_accuracy": "in (0, 1]", "seed": ">= 0",
-    },
+    "partition": {"nodes": ">= 2"},
+    "run": {"trials": ">= 1"},
 }
 _RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
-          "> 0": lambda v: v > 0, "in (0, 1]": lambda v: 0 < v <= 1}
+          "> 0": lambda v: v > 0}
 
 
 def _applies(rule, variant) -> bool:
@@ -180,8 +182,8 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
 
 def _take_section(raw_sections, name) -> dict:
     """Parse one section by its schema. Unknown keys, missing required keys,
-    keys the section's variant does not take and values out of range are
-    errors."""
+    keys the section's variant does not take and values out of their
+    _BOUNDS are errors."""
     if name not in raw_sections:
         raise ConfigError(f"missing section [{name}]")
     schema, raw = _SCHEMAS[name], raw_sections[name]
@@ -203,7 +205,7 @@ def _take_section(raw_sections, name) -> dict:
             raise ConfigError(f"{name}.{key}: not valid for {variant_key}={variant}")
         if key not in parsed and isinstance(rule, dict) and rule.get(variant):
             raise ConfigError(f"{name}.{key}: missing required key")
-    for key, rule in _BOUNDS[name].items():
+    for key, rule in _BOUNDS.get(name, {}).items():
         if key in parsed and not _RULES[rule](parsed[key]):
             raise ConfigError(f"{name}.{key}: must be {rule}, got {parsed[key]}")
     return parsed
@@ -220,10 +222,8 @@ def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
     return plan
 
 
-def _check_learner(parsed, dataset: DatasetSection) -> None:
-    layers = parsed["layers"]
-    if len(layers) < 2 or any(n < 1 for n in layers):
-        raise ConfigError(f"learner.layers: need >= 2 positive sizes, got {layers}")
+def _check_learner(arch: ArchSpec, dataset: DatasetSection) -> None:
+    layers = arch.layer_sizes
     if dataset.kind == "synthetic":
         if layers[0] != dataset.dims:
             raise ConfigError(f"learner.layers: first size {layers[0]} != dataset.dims {dataset.dims}")
@@ -233,14 +233,18 @@ def _check_learner(parsed, dataset: DatasetSection) -> None:
 
 def _build_run(learner, parsed) -> tuple[RunConfig, int]:
     """The base RunConfig from [learner] and [run] (run.interval defaults to 1), plus run.trials."""
-    given = {"interval": 1, **learner, **parsed, "layers": ArchSpec(learner["layers"])}
-    fields = {field: given[key] for key, field in _RUN_FIELDS.items() if key in given}
-    return RunConfig(**fields), parsed.get("trials", 1)
+    try:
+        given = {"interval": 1, **learner, **parsed, "layers": ArchSpec(learner["layers"])}
+        run = RunConfig(**{field: given[key] for key, field in _RUN_FIELDS.items() if key in given})
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(": ")
+        raise ConfigError(f"{_RUN_KEYS[field]}: {rule}") from None
+    return run, parsed.get("trials", 1)
 
 
 def _parse_route(path, raw, nodes):
     try:
-        route = tuple(int(p) for p in raw.split(","))
+        route = tuple(ascii_number(p, int) for p in raw.split(","))
     except ValueError:
         raise ConfigError(f"{path}: expected comma-separated node indices, got {raw!r}") from None
     if sorted(route) != list(range(nodes)):
@@ -309,8 +313,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     dataset = DatasetSection(**{"test_per_class": parsed.get("per_class"), **parsed})
     partition = _build_partition(_take_section(raw_sections, "partition"), dataset)
     learner = _take_section(raw_sections, "learner")
-    _check_learner(learner, dataset)
     run, trials = _build_run(learner, _take_section(raw_sections, "run"))
+    _check_learner(run.arch, dataset)
     policies = _build_policies(raw_sections, partition.nodes)
     _check_sends(run, policies)
     return ExperimentConfig(dataset, partition, run, trials, policies)

@@ -118,12 +118,13 @@ def generate_synthetic_split(
     )
 
 
-def _ascii_float(text: str) -> float:
-    """``float(text)`` without the underscores and non-ASCII digits that
-    ``float`` also accepts, so ``1_0.5`` is not read as 10.5."""
+def ascii_number(text: str, kind):
+    """``kind(text)``, for ``kind`` ``int`` or ``float``, without the
+    underscores and non-ASCII digits that both also accept, so ``1_0`` is
+    not read as 10. The CSV features and the config numbers use it."""
     if not text.isascii() or "_" in text:
         raise ValueError(text)
-    return float(text)
+    return kind(text)
 
 
 def load_csv(path, has_header: bool = False) -> LabeledDataset:
@@ -167,7 +168,7 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
                     f"{path}: line {lineno}: expected {dims} features, got {len(fields) - 1}"
                 )
             try:
-                feats = [_ascii_float(f) for f in fields[1:]]
+                feats = [ascii_number(f, float) for f in fields[1:]]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric feature value") from None
             if not all(map(math.isfinite, feats)):

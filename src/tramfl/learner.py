@@ -42,6 +42,7 @@ labels passed ``LabeledDataset``'s check). ``sgd_step`` always updates
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,11 +56,10 @@ class ArchSpec:
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(n) for n in self.layer_sizes))
-        if len(self.layer_sizes) < 2:
-            raise ValueError(f"need at least input and output sizes, got {self.layer_sizes}")
-        if any(n < 1 for n in self.layer_sizes):
-            raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
+        sizes = tuple(operator.index(n) for n in self.layer_sizes)
+        object.__setattr__(self, "layer_sizes", sizes)
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"layer_sizes: need >= 2 positive sizes, got {sizes}")
 
     def layer_pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))

@@ -4,10 +4,11 @@ Three schemes: contiguous label groups (disjoint), random label subsets per
 node (overlapping, coverage-enforced), and a two-class exponential skew with
 either an analytic rate or an explicit per-node count table.
 
-Each split rule is stated once, on the plan alone in ``PartitionPlan`` and
-against the training set's class totals in :func:`check_fits`. Its
-``ValueError`` starts with the field it names, a ``[partition]`` config key,
-so the config reports the same text behind a ``partition.`` prefix.
+Each split rule is stated once, on the plan alone in ``PartitionPlan`` (which
+fields each scheme takes included) and against the training set's class
+totals in :func:`check_fits`. Its ``ValueError`` starts with the field it
+names, a ``[partition]`` config key, so the config reports the same text
+behind a ``partition.`` prefix.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class DatasetShard:
     total: int
 
 
-# The fields each scheme needs besides ``nodes``.
+# The fields each scheme needs besides ``nodes``; no other scheme takes them.
 _SCHEME_FIELDS = {"contiguous": (), "random_k": ("k_min", "k_max"), "exponential": ("rate",),
                   "table": ("counts",)}
 
@@ -56,11 +57,16 @@ class PartitionPlan:
     def __post_init__(self):
         if self.scheme not in _SCHEME_FIELDS:
             raise ValueError(f"scheme: expected one of {tuple(_SCHEME_FIELDS)}, got {self.scheme!r}")
-        for name in _SCHEME_FIELDS[self.scheme]:
-            if getattr(self, name) is None:
-                raise ValueError(f"{name}: required for scheme={self.scheme}")
+        needed = _SCHEME_FIELDS[self.scheme]
+        for name in sum(_SCHEME_FIELDS.values(), ()):
+            if name in needed and getattr(self, name) is None:
+                raise ValueError(f"{name}: missing required key")
+            if name not in needed and getattr(self, name) is not None:
+                raise ValueError(f"{name}: not valid for scheme={self.scheme}")
         if self.nodes < 1:
             raise ValueError(f"nodes: must be >= 1, got {self.nodes}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.scheme == "random_k" and not 1 <= self.k_min <= self.k_max:
             raise ValueError(f"k_min: need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.scheme == "exponential" and not self.rate > 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -55,7 +56,7 @@ class PolicySpec:
         if (self.kind == "static") != (self.route is not None):
             raise ValueError("static policies need a route; others must not carry one")
         if self.route is not None:
-            object.__setattr__(self, "route", tuple(int(i) for i in self.route))
+            object.__setattr__(self, "route", tuple(operator.index(i) for i in self.route))
 
     def name(self) -> str:
         if self.kind == "static":
@@ -65,7 +66,10 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one trial needs besides the shards and test set."""
+    """Everything one trial needs besides the shards and test set.
+
+    Each range rule is stated here once; its ``ValueError`` starts with the
+    field it names, so the config reports it under that field's key."""
 
     arch: ArchSpec
     learning_rate: float
@@ -80,11 +84,14 @@ class RunConfig:
 
     def __post_init__(self):
         if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if min(self.batch_size, self.interval, self.max_iterations, self.eval_every) < 1:
-            raise ValueError("batch_size, interval, max_iterations, eval_every must be >= 1")
+            raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate}")
+        for name in ("batch_size", "interval", "max_iterations", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
-            raise ValueError(f"target_accuracy must be in (0, 1], got {self.target_accuracy}")
+            raise ValueError(f"target_accuracy: must be in (0, 1], got {self.target_accuracy}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         traveling = self.policy is not None and self.policy.kind != "gossip"
         if traveling and self.max_iterations < self.interval:
             raise ValueError(f"max_iterations {self.max_iterations} is less than interval "

@@ -1,10 +1,19 @@
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from tramfl import ConfigError, PolicySpec, RunConfig, format_config, parse_config, parse_config_text
+from tramfl import (
+    ArchSpec,
+    ConfigError,
+    PartitionPlan,
+    PolicySpec,
+    RunConfig,
+    format_config,
+    parse_config,
+    parse_config_text,
+)
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -392,6 +401,8 @@ SINGLE_FAULTS = [
      "partition.counts: not valid for scheme=exponential"),
     ("k_min_for_table", TABLE_TEXT, "nodes = 3\n", "nodes = 3\nk_min = 1\n",
      "partition.k_min: not valid for scheme=table"),
+    ("keys_of_other_schemes", EXPONENTIAL_TEXT, "rate = 1.0\n",
+     "rate = 1.0\ncounts = 100,100; 0,0\nk_min = 7\n", "partition.k_min: not valid for scheme=exponential"),
     # bad type
     ("int_type", FULL_TEXT, "iterations = 300", "iterations = soon",
      "run.iterations: expected an integer, got 'soon'"),
@@ -405,6 +416,20 @@ SINGLE_FAULTS = [
      "learner.layers: expected comma-separated integers, got '4,x,4'"),
     ("count_table_type", TABLE_TEXT, "375,5125", "375,x",
      "partition.counts: expected comma-separated integers, got '375,x'"),
+    # int() and float() also read underscores and non-ASCII digits; a config
+    # number follows the CSV grammar instead
+    ("int_underscore", FULL_TEXT, "iterations = 300", "iterations = 4_000",
+     "run.iterations: expected an integer, got '4_000'"),
+    ("int_non_ascii", FULL_TEXT, "nodes = 3", "nodes = \u06615",
+     "partition.nodes: expected an integer, got '\u06615'"),
+    ("float_underscore", FULL_TEXT, "eta = 0.05", "eta = 0.0_5",
+     "learner.eta: expected a number, got '0.0_5'"),
+    ("int_list_underscore", FULL_TEXT, "layers = 4,16,4", "layers = 4,1_6,4",
+     "learner.layers: expected comma-separated integers, got '4,1_6,4'"),
+    ("count_table_underscore", TABLE_TEXT, "375,5125", "375,5_125",
+     "partition.counts: expected comma-separated integers, got '375,5_125'"),
+    ("route_non_ascii", FULL_TEXT, "static:0,1,2", "static:0,1,\u0662",
+     "policies.ring: expected comma-separated node indices, got '0,1,\u0662'"),
     ("empty_str", CSV_TEXT, "train = train.csv", "train =", "dataset.train: value must not be empty"),
     # range checks
     ("kind_value", CSV_TEXT, "kind = csv", "kind = image",
@@ -422,6 +447,7 @@ SINGLE_FAULTS = [
      "partition.scheme: expected one of ('contiguous', 'random_k', 'exponential', 'table'), "
      "got 'zigzag'"),
     ("nodes_range", CONTIGUOUS_TEXT, "nodes = 3", "nodes = 1", "partition.nodes: must be >= 2, got 1"),
+    ("partition_seed_range", FULL_TEXT, "seed = 2\n", "seed = -2\n", "partition.seed: must be >= 0, got -2"),
     ("k_min_range", FULL_TEXT, "k_min = 1", "k_min = 0",
      "partition.k_min: need 1 <= k_min <= k_max, got [0, 2]"),
     ("k_min_above_k_max", FULL_TEXT, "k_min = 1", "k_min = 3",
@@ -462,6 +488,7 @@ SINGLE_FAULTS = [
     ("trials_range", FULL_TEXT, "trials = 2", "trials = 0", "run.trials: must be >= 1, got 0"),
     ("target_range", FULL_TEXT, "target_accuracy = 0.9", "target_accuracy = 0",
      "run.target_accuracy: must be in (0, 1], got 0.0"),
+    ("run_seed_range", FULL_TEXT, "seed = 11", "seed = -1", "run.seed: must be >= 0, got -1"),
     ("count_exchanges_once_type", FULL_TEXT, "seed = 11\n", "seed = 11\ncount_exchanges_once = maybe\n",
      "run.count_exchanges_once: expected true or false, got 'maybe'"),
     ("iterations_below_interval", FULL_TEXT, "iterations = 300", "iterations = 1",
@@ -497,6 +524,52 @@ def test_single_fault_message_pinned(base, old, new, message):
     with pytest.raises(ConfigError) as info:
         parse_config_text(base.replace(old, new, 1))
     assert str(info.value) == message
+
+
+# The [partition], [learner] and [run] rules are the runtime types' own: each
+# type, built with a fault that a SINGLE_FAULTS config makes, states the rule
+# in the same words, naming its field where the config names the key.
+_RUN = parse_config_text(FULL_TEXT).run
+RUNTIME_PARITY = [
+    ("scheme_value", lambda: PartitionPlan("zigzag", 3), "scheme"),
+    ("missing_k_min", lambda: PartitionPlan("random_k", 3, k_max=2), "k_min"),
+    ("missing_k_max", lambda: PartitionPlan("random_k", 3, k_min=1), "k_max"),
+    ("missing_rate", lambda: PartitionPlan("exponential", 3), "rate"),
+    ("missing_counts", lambda: PartitionPlan("table", 3), "counts"),
+    ("rate_for_random_k", lambda: PartitionPlan("random_k", 3, 1, 2, rate=1.0), "rate"),
+    ("k_max_for_contiguous", lambda: PartitionPlan("contiguous", 3, k_max=2), "k_max"),
+    ("counts_for_exponential", lambda: PartitionPlan("exponential", 3, rate=1.0, counts=((1, 2),)),
+     "counts"),
+    ("k_min_for_table", lambda: PartitionPlan("table", 3, k_min=1, counts=((1, 2),) * 3), "k_min"),
+    ("keys_of_other_schemes",
+     lambda: PartitionPlan("exponential", 2, rate=1.0, counts=((100, 100), (0, 0)), k_min=7), "k_min"),
+    ("partition_seed_range", lambda: PartitionPlan("random_k", 3, 1, 2, seed=-2), "seed"),
+    ("layers_short", lambda: ArchSpec((4,)), "layer_sizes"),
+    ("layers_zero", lambda: ArchSpec((4, 0, 4)), "layer_sizes"),
+    ("eta_range", lambda: replace(_RUN, learning_rate=-0.05), "learning_rate"),
+    ("batch_range", lambda: replace(_RUN, batch_size=0), "batch_size"),
+    ("iterations_range", lambda: replace(_RUN, max_iterations=0), "max_iterations"),
+    ("interval_range", lambda: replace(_RUN, interval=0), "interval"),
+    ("eval_every_range", lambda: replace(_RUN, eval_every=0), "eval_every"),
+    ("target_range", lambda: replace(_RUN, target_accuracy=0.0), "target_accuracy"),
+    ("run_seed_range", lambda: replace(_RUN, seed=-1), "seed"),
+]
+
+
+@pytest.mark.parametrize("fault, make, field", RUNTIME_PARITY, ids=[case[0] for case in RUNTIME_PARITY])
+def test_runtime_type_states_the_config_rule(fault, make, field):
+    config_message = next(case[-1] for case in SINGLE_FAULTS if case[0] == fault)
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == f"{field}: {config_message.partition(': ')[2]}"
+
+
+def test_config_keeps_no_rule_of_a_runtime_type():
+    from tramfl.config import _BOUNDS, _SCHEMAS, _VARIANTS
+
+    assert "learner" not in _BOUNDS and list(_BOUNDS["run"]) == ["trials"]
+    assert list(_BOUNDS["partition"]) == ["nodes"] and "partition" not in _VARIANTS
+    assert not any(isinstance(rule, dict) for _, rule in _SCHEMAS["partition"].values())
 
 
 # (id, base text, old, new, the parsed value, expected): every range rule at

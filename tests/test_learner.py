@@ -37,6 +37,14 @@ def test_arch_validation():
     assert ArchSpec((4, 8, 3)).num_params() == 4 * 8 + 8 * 3 + 8 + 3
 
 
+def test_arch_sizes_are_integers_not_truncated_floats():
+    """ArchSpec((8.7, 2.2)) used to become (8, 2)."""
+    with pytest.raises(TypeError):
+        ArchSpec((8.7, 2.2))
+    sizes = ArchSpec((np.int64(8), np.int32(2))).layer_sizes
+    assert sizes == (8, 2) and all(type(n) is int for n in sizes)
+
+
 def test_init_he_deterministic():
     arch = ArchSpec((4, 3))
     assert np.array_equal(init_he(arch, 1).values, init_he(arch, 1).values)

@@ -279,14 +279,14 @@ def test_library_and_config_give_one_message(classes, body, split):
     assert str(config_error.value) == f"partition.{library_error.value}"
 
 
-# The rules a config cannot reach: it takes nodes >= 2 and reports a missing
-# key or an unknown scheme itself.
+# Each field a scheme needs but lacks, an unknown scheme, and nodes >= 1, which
+# a config cannot reach because it takes nodes >= 2 first.
 @pytest.mark.parametrize("make, message", [
     (lambda: PartitionPlan("contiguous", 0), "nodes: must be >= 1, got 0"),
-    (lambda: PartitionPlan("random_k", 3), "k_min: required for scheme=random_k"),
-    (lambda: PartitionPlan("random_k", 3, k_min=1), "k_max: required for scheme=random_k"),
-    (lambda: PartitionPlan("exponential", 3), "rate: required for scheme=exponential"),
-    (lambda: PartitionPlan("table", 3), "counts: required for scheme=table"),
+    (lambda: PartitionPlan("random_k", 3), "k_min: missing required key"),
+    (lambda: PartitionPlan("random_k", 3, k_min=1), "k_max: missing required key"),
+    (lambda: PartitionPlan("exponential", 3), "rate: missing required key"),
+    (lambda: PartitionPlan("table", 3), "counts: missing required key"),
     (lambda: PartitionPlan("nope", 3),
      "scheme: expected one of ('contiguous', 'random_k', 'exponential', 'table'), got 'nope'"),
 ], ids=["nodes", "k_min", "k_max", "rate", "counts", "scheme"])

@@ -85,13 +85,13 @@ def test_types_holding_arrays_compare_by_identity(make):
     (lambda shards, test: PolicySpec("nope"), "unknown policy kind"),
     (lambda shards, test: PolicySpec("dynamic", route=(0, 1)), "others must not carry one"),
     (lambda shards, test: PolicySpec("static"), "static policies need a route"),
-    (lambda shards, test: _cfg(learning_rate=0.0), "learning_rate must be > 0"),
+    (lambda shards, test: _cfg(learning_rate=0.0), "learning_rate: must be > 0"),
     (lambda shards, test: _cfg(batch_size=0), "must be >= 1"),
     (lambda shards, test: _cfg(interval=0), "must be >= 1"),
     (lambda shards, test: _cfg(max_iterations=0), "must be >= 1"),
     (lambda shards, test: _cfg(eval_every=0), "must be >= 1"),
-    (lambda shards, test: _cfg(target_accuracy=0.0), "target_accuracy must be in (0, 1]"),
-    (lambda shards, test: _cfg(target_accuracy=1.5), "target_accuracy must be in (0, 1]"),
+    (lambda shards, test: _cfg(target_accuracy=0.0), "target_accuracy: must be in (0, 1]"),
+    (lambda shards, test: _cfg(target_accuracy=1.5), "target_accuracy: must be in (0, 1]"),
     (lambda shards, test: run_tram_fl(shards, test, _cfg(policy=None)), "cfg.policy is not set"),
     (lambda shards, test: run_trials(shards, test, _cfg(policy=None, target_accuracy=0.5)),
      "cfg.policy is not set"),
@@ -105,6 +105,14 @@ def test_simulator_checks(small_task, make, fragment):
     with pytest.raises(ValueError) as info:
         make(split_contiguous_labels(train, 2), test)
     assert fragment in str(info.value)
+
+
+def test_route_nodes_are_integers_not_truncated_floats():
+    """PolicySpec("static", (0.0, 1.9)) used to become route (0, 1)."""
+    with pytest.raises(TypeError):
+        PolicySpec("static", (0.0, 1.9))
+    route = PolicySpec("static", np.array([1, 0])).route
+    assert route == (1, 0) and all(type(i) is int for i in route)
 
 
 def test_transmissions_are_floor_k_over_t(small_task):
