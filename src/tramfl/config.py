@@ -2,12 +2,12 @@
 
 Sections: [dataset], [partition], [learner], [run], [policies]. Unknown
 sections or keys are rejected, and every error names the offending field as
-``section.key``. The types that [partition], [learner] and [run] build
-(``PartitionPlan``, ``ArchSpec``, ``RunConfig``) state their own rules; this
-module states only [dataset]'s, ``partition.nodes >= 2``, ``run.trials`` and
-the checks across sections. The [policies] section is the one free-form
-part: each key is a policy label (used in output file names) and each value
-one of ``dynamic``, ``random``, ``gossip``, ``static:<route>``, or
+``section.key``. The types the sections build (``DatasetSection``,
+``PartitionPlan``, ``ArchSpec``, ``RunConfig``) state their own rules; this
+module states only the required keys, ``partition.nodes >= 2``, ``run.trials
+>= 1`` and the checks across sections. The [policies] section is the one
+free-form part: each key is a policy label (used in output file names) and
+each value one of ``dynamic``, ``random``, ``gossip``, ``static:<route>``, or
 ``static:all`` which expands to every route over the configured node count.
 """
 
@@ -18,7 +18,7 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .datasets import ascii_number
 from .errors import ConfigError
@@ -30,9 +30,18 @@ from .simulator import PolicySpec, RunConfig
 _LABEL_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
 
+# The fields each dataset kind takes, as name -> required; no other kind takes them.
+_KIND_FIELDS = {"synthetic": {"classes": True, "dims": True, "per_class": True, "test_per_class": False,
+                              "separation": True},
+                "csv": {"train": True, "test": True, "header": False}}
+
+
 @dataclass(frozen=True)
 class DatasetSection:
-    kind: str
+    """The [dataset] section. Each rule's ``ValueError`` starts with the key
+    it names. ``test_per_class`` defaults to ``per_class``, ``header`` to false."""
+
+    kind: str  # synthetic | csv
     classes: int | None = None
     dims: int | None = None
     per_class: int | None = None
@@ -41,7 +50,29 @@ class DatasetSection:
     seed: int = 0
     train: str | None = None
     test: str | None = None
-    header: bool = False
+    header: bool | None = None
+
+    def __post_init__(self):
+        if self.kind not in _KIND_FIELDS:
+            raise ValueError(f"kind: expected one of {tuple(_KIND_FIELDS)}, got {self.kind!r}")
+        taken = _KIND_FIELDS[self.kind]
+        for name in (name for fields in _KIND_FIELDS.values() for name in fields):
+            if taken.get(name) and getattr(self, name) is None:
+                raise ValueError(f"{name}: missing required key")
+            if name not in taken and getattr(self, name) is not None:
+                raise ValueError(f"{name}: not valid for kind={self.kind}")
+        if self.kind == "csv" and self.header is None:
+            object.__setattr__(self, "header", False)
+        if self.kind == "synthetic":
+            if self.test_per_class is None:
+                object.__setattr__(self, "test_per_class", self.per_class)
+            for name, least in (("classes", 2), ("dims", 1), ("per_class", 1), ("test_per_class", 1)):
+                if getattr(self, name) < least:
+                    raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
+            if not self.separation > 0:
+                raise ValueError(f"separation: must be > 0, got {self.separation}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -98,22 +129,20 @@ def _parse_str(path, raw):
     return raw.strip()
 
 
-# Every section's keys in canonical order, as key -> (parser, rule). The rule
-# is True for a required key, False for an optional one, or {kind: required}
-# for a [dataset] key that only those kinds take; _VARIANTS names the variant
-# key and its values. Which [partition] keys a scheme takes is PartitionPlan's
-# rule. _take_section and format_config both walk this table.
+# Every section's keys in canonical order, as key -> (parser, required); which
+# keys a kind or scheme takes is DatasetSection's or PartitionPlan's rule.
+# _take_section and format_config both walk this table.
 _SCHEMAS = {
     "dataset": {
         "kind": (_parse_str, True),
-        "classes": (_parse_int, {"synthetic": True}),
-        "dims": (_parse_int, {"synthetic": True}),
-        "per_class": (_parse_int, {"synthetic": True}),
-        "test_per_class": (_parse_int, {"synthetic": False}),
-        "separation": (_parse_float, {"synthetic": True}),
-        "train": (_parse_str, {"csv": True}),
-        "test": (_parse_str, {"csv": True}),
-        "header": (_parse_bool, {"csv": False}),
+        "classes": (_parse_int, False),
+        "dims": (_parse_int, False),
+        "per_class": (_parse_int, False),
+        "test_per_class": (_parse_int, False),
+        "separation": (_parse_float, False),
+        "train": (_parse_str, False),
+        "test": (_parse_str, False),
+        "header": (_parse_bool, False),
         "seed": (_parse_int, False),
     },
     "partition": {
@@ -149,25 +178,6 @@ _RUN_FIELDS = {"layers": "arch", "eta": "learning_rate", "batch": "batch_size",
                "count_exchanges_once": "count_exchanges_once"}
 _RUN_KEYS = {field: f"{'learner' if key in _SCHEMAS['learner'] else 'run'}.{key}"
              for key, field in _RUN_FIELDS.items()} | {"layer_sizes": "learner.layers"}
-_VARIANTS = {"dataset": ("kind", ("synthetic", "csv"))}
-# The range rules that no runtime type owns, in check order, as key -> rule;
-# _RULES tests a value. Every other [partition] rule is PartitionPlan's, and
-# every other [learner] and [run] rule RunConfig's or ArchSpec's. The library
-# takes one node; a config needs two.
-_BOUNDS = {
-    "dataset": {
-        "classes": ">= 2", "dims": ">= 1", "per_class": ">= 1", "test_per_class": ">= 1",
-        "separation": "> 0", "seed": ">= 0",
-    },
-    "partition": {"nodes": ">= 2"},
-    "run": {"trials": ">= 1"},
-}
-_RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2,
-          "> 0": lambda v: v > 0}
-
-
-def _applies(rule, variant) -> bool:
-    return not isinstance(rule, dict) or variant in rule
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -181,9 +191,7 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
 
 
 def _take_section(raw_sections, name) -> dict:
-    """Parse one section by its schema. Unknown keys, missing required keys,
-    keys the section's variant does not take and values out of their
-    _BOUNDS are errors."""
+    """Parse one section by its schema; unknown and missing required keys are errors."""
     if name not in raw_sections:
         raise ConfigError(f"missing section [{name}]")
     schema, raw = _SCHEMAS[name], raw_sections[name]
@@ -191,28 +199,18 @@ def _take_section(raw_sections, name) -> dict:
         if key not in schema:
             raise ConfigError(f"{name}.{key}: unknown key")
     parsed = {}
-    for key, (fn, rule) in schema.items():
+    for key, (fn, required) in schema.items():
         if key in raw:
             parsed[key] = fn(f"{name}.{key}", raw[key])
-        elif rule is True:
+        elif required:
             raise ConfigError(f"{name}.{key}: missing required key")
-    variant_key, variants = _VARIANTS.get(name, (None, ()))
-    variant = parsed.get(variant_key)
-    if variants and variant not in variants:
-        raise ConfigError(f"{name}.{variant_key}: expected one of {variants}, got {variant!r}")
-    for key, (_, rule) in schema.items():
-        if key in parsed and not _applies(rule, variant):
-            raise ConfigError(f"{name}.{key}: not valid for {variant_key}={variant}")
-        if key not in parsed and isinstance(rule, dict) and rule.get(variant):
-            raise ConfigError(f"{name}.{key}: missing required key")
-    for key, rule in _BOUNDS.get(name, {}).items():
-        if key in parsed and not _RULES[rule](parsed[key]):
-            raise ConfigError(f"{name}.{key}: must be {rule}, got {parsed[key]}")
     return parsed
 
 
 def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
-    """The PartitionPlan; synthetic data is checked here, CSV data once loaded."""
+    """The PartitionPlan, of at least two nodes; synthetic data is checked here, CSV data once loaded."""
+    if parsed["nodes"] < 2:
+        raise ConfigError(f"partition.nodes: must be >= 2, got {parsed['nodes']}")
     try:
         plan = PartitionPlan(**parsed)
         if dataset.kind == "synthetic":
@@ -233,13 +231,15 @@ def _check_learner(arch: ArchSpec, dataset: DatasetSection) -> None:
 
 def _build_run(learner, parsed) -> tuple[RunConfig, int]:
     """The base RunConfig from [learner] and [run] (run.interval defaults to 1), plus run.trials."""
+    if parsed.setdefault("trials", 1) < 1:
+        raise ConfigError(f"run.trials: must be >= 1, got {parsed['trials']}")
     try:
         given = {"interval": 1, **learner, **parsed, "layers": ArchSpec(learner["layers"])}
         run = RunConfig(**{field: given[key] for key, field in _RUN_FIELDS.items() if key in given})
     except ValueError as exc:
         field, _, rule = str(exc).partition(": ")
         raise ConfigError(f"{_RUN_KEYS[field]}: {rule}") from None
-    return run, parsed.get("trials", 1)
+    return run, parsed["trials"]
 
 
 def _parse_route(path, raw, nodes):
@@ -289,28 +289,28 @@ def _build_policies(raw_sections, nodes) -> tuple[tuple[str, PolicySpec], ...]:
 
 
 def _check_sends(run: RunConfig, policies) -> None:
-    """A traveling model is sent once per ``interval`` iterations, so a run
-    shorter than one interval would never send it; gossip exchanges every
-    iteration and is exempt."""
-    traveling = [(label, spec.kind) for label, spec in policies if spec.kind != "gossip"]
-    if traveling and run.max_iterations < run.interval:
-        label, kind = traveling[0]
-        raise ConfigError(
-            f"run.iterations: {run.max_iterations} is less than run.interval {run.interval}, "
-            f"so policies.{label} ({kind}) would never send the model"
-        )
+    """RunConfig's rule that a traveling model is sent at least once; gossip is exempt."""
+    for label, spec in policies:
+        try:
+            replace(run, policy=spec)
+        except ValueError:
+            raise ConfigError(
+                f"run.iterations: {run.max_iterations} is less than run.interval {run.interval}, "
+                f"so policies.{label} ({spec.kind}) would never send the model"
+            ) from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError naming the field."""
     raw_sections = _read_sections(text)
-    known = set(_SCHEMAS) | {"policies"}
     for name in raw_sections:
-        if name not in known:
+        if name not in _SCHEMAS and name != "policies":
             raise ConfigError(f"unknown section [{name}]")
     parsed = _take_section(raw_sections, "dataset")
-    # A synthetic test set defaults to per_class rows per class.
-    dataset = DatasetSection(**{"test_per_class": parsed.get("per_class"), **parsed})
+    try:
+        dataset = DatasetSection(**parsed)
+    except ValueError as exc:
+        raise ConfigError(f"dataset.{exc}") from None
     partition = _build_partition(_take_section(raw_sections, "partition"), dataset)
     learner = _take_section(raw_sections, "learner")
     run, trials = _build_run(learner, _take_section(raw_sections, "run"))
@@ -343,18 +343,16 @@ def _fmt(value) -> str:
 def format_config(cfg: ExperimentConfig) -> str:
     """Emit canonical config text; parse_config_text(format_config(c)) == c.
 
-    Walks _SCHEMAS, writing each key its section's variant takes and whose
-    value is not None."""
+    Walks _SCHEMAS, writing each key whose value is not None."""
     run = {key: getattr(cfg.run, field) for key, field in _RUN_FIELDS.items()}
     run.update(layers=cfg.run.arch.layer_sizes, trials=cfg.trials)
     values = {"dataset": vars(cfg.dataset), "partition": vars(cfg.partition), "learner": run, "run": run}
     out = io.StringIO()
     for name, schema in _SCHEMAS.items():
         section = values[name]
-        variant = section.get(_VARIANTS[name][0]) if name in _VARIANTS else None
         out.write(f"[{name}]\n")
-        for key, (_, rule) in schema.items():
-            if section[key] is not None and _applies(rule, variant):
+        for key in schema:
+            if section[key] is not None:
                 out.write(f"{key} = {_fmt(section[key])}\n")
         out.write("\n")
     out.write("[policies]\n")

@@ -119,10 +119,11 @@ def generate_synthetic_split(
 
 
 def ascii_number(text: str, kind):
-    """``kind(text)``, for ``kind`` ``int`` or ``float``, without the
-    underscores and non-ASCII digits that both also accept, so ``1_0`` is
-    not read as 10. The CSV features and the config numbers use it."""
-    if not text.isascii() or "_" in text:
+    """``kind(text)`` in the one grammar of CSV rows and configs: an ``int`` is
+    an optional ``-`` and ASCII digits, a ``float`` any literal without the
+    ``_`` or non-ASCII digits that ``float`` also takes. Whitespace around is ignored."""
+    plain = re.fullmatch("-?[0-9]+", text.strip()) if kind is int else text.isascii() and "_" not in text
+    if not plain:
         raise ValueError(text)
     return kind(text)
 
@@ -154,11 +155,11 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
             fields = line.split(",")
             if len(fields) < 2:
                 raise ParseError(f"{path}: line {lineno}: expected 'label,f1,...', got {line!r}")
-            if not re.fullmatch(r"-?[0-9]+", fields[0].strip()):
-                raise ParseError(
-                    f"{path}: line {lineno}: label must be an integer, got {fields[0]!r}"
-                )
-            label = int(fields[0])
+            try:
+                label = ascii_number(fields[0], int)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: label must be an integer, "
+                                 f"got {fields[0]!r}") from None
             if label < 0:
                 raise ParseError(f"{path}: line {lineno}: negative label {label}")
             if dims is None:

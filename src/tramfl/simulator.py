@@ -94,7 +94,7 @@ class RunConfig:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         traveling = self.policy is not None and self.policy.kind != "gossip"
         if traveling and self.max_iterations < self.interval:
-            raise ValueError(f"max_iterations {self.max_iterations} is less than interval "
+            raise ValueError(f"max_iterations: {self.max_iterations} is less than interval "
                              f"{self.interval}, so {self.policy.kind} would never send the model")
 
 

@@ -14,6 +14,7 @@ from tramfl import (
     parse_config,
     parse_config_text,
 )
+from tramfl.config import DatasetSection
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = Path(__file__).parents[1] / "configs"
@@ -65,6 +66,11 @@ def test_minimal_config_fills_defaults():
     assert cfg.run.target_accuracy is None
     assert cfg.dataset.test_per_class == cfg.dataset.per_class
     assert cfg.policies == (("dynamic", PolicySpec("dynamic")),)
+
+
+def test_int_list_parts_may_carry_spaces():
+    cfg = parse_config_text(FULL_TEXT.replace("layers = 4,16,4", "layers = 4, 16,4"))
+    assert cfg.run.arch.layer_sizes == (4, 16, 4)
 
 
 def test_every_repo_config_parses():
@@ -315,6 +321,9 @@ dynamic = dynamic
 ring = static:1,0
 """
 
+# A CSV file has no header unless told so; format_config writes that default.
+CSV_NO_HEADER_TEXT = CSV_TEXT.replace("header = true\n", "")
+
 CONTIGUOUS_TEXT = FULL_TEXT.replace(
     "scheme = random_k\nnodes = 3\nk_min = 1\nk_max = 2\nseed = 2", "scheme = contiguous\nnodes = 3"
 )
@@ -327,7 +336,14 @@ FORMAT_SHA256 = {
     "EXPONENTIAL_TEXT": "4cb0842b91f23b850671969f73f0980e094b616244220c8a5c7740b5187c57cc",
     "TABLE_TEXT": "500ae9a673c88dafbd658a928300ef6d4f770f3b7019429d8b1cc72b53500128",
     "CSV_TEXT": "09427713d72c7a9d9cf7085b75bffc8169d4084f8d1ef0ad9a1d19db5bf47835",
+    "CSV_NO_HEADER_TEXT": "43f1cffb6ab290af2df45b4afe38828316a97f244f79c57c5d4d5258b74a6b1d",
 }
+
+
+def test_round_trip_csv_without_header():
+    cfg = parse_config_text(CSV_NO_HEADER_TEXT)
+    assert cfg.dataset.header is False
+    assert parse_config_text(format_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize("name", sorted(FORMAT_SHA256))
@@ -422,6 +438,10 @@ SINGLE_FAULTS = [
      "run.iterations: expected an integer, got '4_000'"),
     ("int_non_ascii", FULL_TEXT, "nodes = 3", "nodes = \u06615",
      "partition.nodes: expected an integer, got '\u06615'"),
+    # nor a sign +, which a CSV label does not take either
+    ("int_plus", FULL_TEXT, "nodes = 3", "nodes = +3", "partition.nodes: expected an integer, got '+3'"),
+    ("route_plus", CSV_TEXT, "static:1,0", "static:+1,0",
+     "policies.ring: expected comma-separated node indices, got '+1,0'"),
     ("float_underscore", FULL_TEXT, "eta = 0.05", "eta = 0.0_5",
      "learner.eta: expected a number, got '0.0_5'"),
     ("int_list_underscore", FULL_TEXT, "layers = 4,16,4", "layers = 4,1_6,4",
@@ -443,6 +463,7 @@ SINGLE_FAULTS = [
      "dataset.test_per_class: must be >= 1, got 0"),
     ("separation_range", FULL_TEXT, "separation = 3.0", "separation = -1.5",
      "dataset.separation: must be > 0, got -1.5"),
+    ("dataset_seed_range", FULL_TEXT, "seed = 1\n", "seed = -1\n", "dataset.seed: must be >= 0, got -1"),
     ("scheme_value", CONTIGUOUS_TEXT, "scheme = contiguous", "scheme = zigzag",
      "partition.scheme: expected one of ('contiguous', 'random_k', 'exponential', 'table'), "
      "got 'zigzag'"),
@@ -526,11 +547,32 @@ def test_single_fault_message_pinned(base, old, new, message):
     assert str(info.value) == message
 
 
-# The [partition], [learner] and [run] rules are the runtime types' own: each
-# type, built with a fault that a SINGLE_FAULTS config makes, states the rule
-# in the same words, naming its field where the config names the key.
+# The [dataset], [partition], [learner] and [run] rules are the types' own:
+# each type, built with a fault that a SINGLE_FAULTS config makes, states the
+# rule in the same words, naming its field where the config names the key.
 _RUN = parse_config_text(FULL_TEXT).run
+_SYNTHETIC = vars(parse_config_text(FULL_TEXT).dataset)
+_CSV = vars(parse_config_text(CSV_TEXT).dataset)
 RUNTIME_PARITY = [
+    ("kind_value", lambda: DatasetSection(**{**_CSV, "kind": "image"}), "kind"),
+    ("missing_classes", lambda: DatasetSection(**{**_SYNTHETIC, "classes": None}), "classes"),
+    ("missing_dims", lambda: DatasetSection(**{**_SYNTHETIC, "dims": None}), "dims"),
+    ("missing_per_class", lambda: DatasetSection(**{**_SYNTHETIC, "per_class": None}), "per_class"),
+    ("missing_separation", lambda: DatasetSection(**{**_SYNTHETIC, "separation": None}), "separation"),
+    ("missing_train", lambda: DatasetSection(**{**_CSV, "train": None}), "train"),
+    ("missing_test", lambda: DatasetSection(**{**_CSV, "test": None}), "test"),
+    ("train_for_synthetic", lambda: DatasetSection(**{**_SYNTHETIC, "train": "a.csv"}), "train"),
+    ("test_for_synthetic", lambda: DatasetSection(**{**_SYNTHETIC, "test": "a.csv"}), "test"),
+    ("header_for_synthetic", lambda: DatasetSection(**{**_SYNTHETIC, "header": False}), "header"),
+    ("classes_for_csv", lambda: DatasetSection(**{**_CSV, "classes": 2}), "classes"),
+    ("test_per_class_for_csv", lambda: DatasetSection(**{**_CSV, "test_per_class": 2}), "test_per_class"),
+    ("separation_for_csv", lambda: DatasetSection(**{**_CSV, "separation": 2.0}), "separation"),
+    ("classes_range", lambda: DatasetSection(**{**_SYNTHETIC, "classes": 1}), "classes"),
+    ("dims_range", lambda: DatasetSection(**{**_SYNTHETIC, "dims": 0}), "dims"),
+    ("per_class_range", lambda: DatasetSection(**{**_SYNTHETIC, "per_class": 0}), "per_class"),
+    ("test_per_class_range", lambda: DatasetSection(**{**_SYNTHETIC, "test_per_class": 0}), "test_per_class"),
+    ("separation_range", lambda: DatasetSection(**{**_SYNTHETIC, "separation": -1.5}), "separation"),
+    ("dataset_seed_range", lambda: DatasetSection(**{**_SYNTHETIC, "seed": -1}), "seed"),
     ("scheme_value", lambda: PartitionPlan("zigzag", 3), "scheme"),
     ("missing_k_min", lambda: PartitionPlan("random_k", 3, k_max=2), "k_min"),
     ("missing_k_max", lambda: PartitionPlan("random_k", 3, k_min=1), "k_max"),
@@ -565,11 +607,17 @@ def test_runtime_type_states_the_config_rule(fault, make, field):
 
 
 def test_config_keeps_no_rule_of_a_runtime_type():
-    from tramfl.config import _BOUNDS, _SCHEMAS, _VARIANTS
+    """Each _SCHEMAS rule is only required or optional, whatever the kind or
+    scheme, and every [dataset] rule past that is DatasetSection's."""
+    from tramfl import config
 
-    assert "learner" not in _BOUNDS and list(_BOUNDS["run"]) == ["trials"]
-    assert list(_BOUNDS["partition"]) == ["nodes"] and "partition" not in _VARIANTS
-    assert not any(isinstance(rule, dict) for _, rule in _SCHEMAS["partition"].values())
+    assert all(type(required) is bool for schema in config._SCHEMAS.values() for _, required in schema.values())
+    assert not any(hasattr(config, name) for name in ("_BOUNDS", "_RULES", "_VARIANTS", "_applies"))
+    parity = {case[0] for case in RUNTIME_PARITY}
+    stated = [case[0] for case in SINGLE_FAULTS
+              if case[-1].startswith("dataset.") and case[0] != "missing_kind"
+              and any(rule in case[-1] for rule in ("must be", "missing required", "not valid", "one of"))]
+    assert stated and set(stated) <= parity
 
 
 # (id, base text, old, new, the parsed value, expected): every range rule at

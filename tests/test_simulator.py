@@ -92,6 +92,8 @@ def test_types_holding_arrays_compare_by_identity(make):
     (lambda shards, test: _cfg(eval_every=0), "must be >= 1"),
     (lambda shards, test: _cfg(target_accuracy=0.0), "target_accuracy: must be in (0, 1]"),
     (lambda shards, test: _cfg(target_accuracy=1.5), "target_accuracy: must be in (0, 1]"),
+    (lambda shards, test: _cfg(max_iterations=1, interval=2),
+     "max_iterations: 1 is less than interval 2, so dynamic would never send the model"),
     (lambda shards, test: run_tram_fl(shards, test, _cfg(policy=None)), "cfg.policy is not set"),
     (lambda shards, test: run_trials(shards, test, _cfg(policy=None, target_accuracy=0.5)),
      "cfg.policy is not set"),
@@ -99,7 +101,7 @@ def test_types_holding_arrays_compare_by_identity(make):
      "num_trials must be >= 1"),
 ], ids=["unknown_kind", "route_on_dynamic", "static_without_route", "learning_rate",
         "batch_size", "interval", "max_iterations", "eval_every", "target_zero",
-        "target_above_one", "tram_fl_no_policy", "trials_no_policy", "zero_trials"])
+        "target_above_one", "iterations_below_interval", "tram_fl_no_policy", "trials_no_policy", "zero_trials"])
 def test_simulator_checks(small_task, make, fragment):
     train, test = small_task
     with pytest.raises(ValueError) as info:
