@@ -104,8 +104,12 @@ def generate_synthetic_split(
 
     Both halves share the same class means (a single generator call), which a
     pair of independently seeded calls to :func:`generate_synthetic` would not
-    guarantee when ``dims < num_classes``.
+    guarantee when ``dims < num_classes``. Each half needs at least one
+    sample per class.
     """
+    for name, count in (("train_per_class", train_per_class), ("test_per_class", test_per_class)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     block = train_per_class + test_per_class
     full = generate_synthetic(num_classes, dims, block, separation, seed)
     by_class = full.features.reshape(num_classes, block, dims)
@@ -121,8 +125,12 @@ def generate_synthetic_split(
 def ascii_number(text: str, kind):
     """``kind(text)`` in the one grammar of CSV rows and configs: an ``int`` is
     an optional ``-`` and ASCII digits, a ``float`` any literal without the
-    ``_`` or non-ASCII digits that ``float`` also takes. Whitespace around is ignored."""
-    plain = re.fullmatch("-?[0-9]+", text.strip()) if kind is int else text.isascii() and "_" not in text
+    ``_``, the non-ASCII digits or the leading ``+`` that ``float`` also
+    takes. Whitespace around is ignored."""
+    if kind is int:
+        plain = re.fullmatch("-?[0-9]+", text.strip())
+    else:
+        plain = text.isascii() and "_" not in text and not text.lstrip().startswith("+")
     if not plain:
         raise ValueError(text)
     return kind(text)
@@ -132,8 +140,8 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     """Read a dataset from ``label,f1,...,fd`` lines.
 
     The label must be a nonnegative integer of ASCII digits, and each feature
-    an ASCII float literal with no ``_``; the feature width is fixed by the
-    first data row. Blank lines are ignored. Raises
+    an ASCII float literal with no ``_`` and no leading ``+``; the feature
+    width is fixed by the first data row. Blank lines are ignored. Raises
     :class:`ParseError` with the 1-based line number on malformed input,
     text that is not UTF-8 included.
     """

@@ -8,7 +8,7 @@ all weight matrices first (layer by layer, each flattened row-major with
 shape (fan_in, fan_out)), then all bias vectors in the same layer order.
 
 Every trajectory is pinned bit for bit by golden digests, so the numeric
-core follows four rules. In-place elementwise operations on an array the
+core follows five rules. In-place elementwise operations on an array the
 call owns (one it allocated, a workspace buffer, or the parameter vector
 of an in-place step: ``h += b``, ``np.exp(x, out=x)``, ``delta *= mask``)
 are allowed: each element gets the same operation on the same operands.
@@ -16,27 +16,34 @@ Reductions keep their axis, operands and order, because numpy sums
 pairwise and a reordered sum moves the last bits. A row maximum taken from
 the argmax equals ``max`` in value, NaN and inf included, but not in a
 NaN's payload bits: ``loss_and_grad``, whose gradient bytes reach the
-params digests, keeps ``max``, and only ``evaluate``, whose loss is
-compared by value, takes its maximum from the argmax. No dtype changes,
-and no masked assignment in place of a multiply by a mask:
-``x[~mask] = 0`` writes ``0.0`` where ``x * mask`` gives ``-0.0`` for a
-negative ``x`` and NaN for an infinite or NaN ``x``. A matmul may write
-into an ``out=`` buffer only if that buffer is C-contiguous and aligned,
-the layout numpy would allocate for the result: numpy then makes the same
-BLAS call. An ``out`` in another layout can change the call and the bits;
-a Fortran-ordered ``out`` does for a (500, 32) @ (32, 10) product.
+params digests, keeps ``max`` (as ``np.maximum.reduce``), and only
+``evaluate``, whose loss is compared by value, takes its maximum from the
+argmax. No dtype changes, and no masked assignment in place of a multiply
+by a mask: ``x[~mask] = 0`` writes ``0.0`` where ``x * mask`` gives
+``-0.0`` for a negative ``x`` and NaN for an infinite or NaN ``x``. A
+matmul may write into an ``out=`` buffer only if that buffer is
+C-contiguous and aligned, the layout numpy would allocate for the result:
+numpy then makes the same BLAS call. An ``out`` in another layout can
+change the call and the bits; a Fortran-ordered ``out`` does for a
+(500, 32) @ (32, 10) product. A label's logit is found by its flat index, row
+start plus label: on a C-contiguous buffer, ``x.ravel().take(flat)`` and
+``x.ravel()[flat] -= 1.0`` touch the same elements as ``x[rows, labels]``,
+but only for labels below the output width. A label at or past it would
+name an entry of the next row.
 
 A :class:`ModelParams` binds ``values`` once (the dataclass is frozen) and
 caches its weight and bias views into it as ``layers``, so the views never
 go stale; the array's contents may change in place. ``loss_and_grad`` and
 ``evaluate`` take an optional ``workspace``, a :class:`_Workspace` built
 once per trial for one architecture and one batch row count. It keeps the
-activation, logit and row-index buffers and the gradient between calls, so
-a step allocates little. A gradient returned through a workspace is that
+activation and logit buffers, the logit rows' flat starts and the gradient
+between calls, so a step allocates little. A gradient returned through a workspace is that
 workspace's buffer: its next ``loss_and_grad`` overwrites it. Labels are
 range-checked against the output width only on the path without a
-workspace; with one, the caller vouches for them (the simulator's shard
-labels passed ``LabeledDataset``'s check). ``sgd_step`` always updates
+workspace; with one, the caller vouches for them (the simulator checks each
+trial's class counts against the width before its first step).
+``loss_and_grad(..., loss=False)`` skips the loss alone, returning it as
+None, for callers that only step. ``sgd_step`` always updates
 ``params.values`` in place.
 """
 
@@ -109,14 +116,15 @@ class ModelParams:
 
 class _Workspace:
     """Scratch for one architecture and one batch row count, reused across
-    calls: activation, logit and row-index buffers, and a gradient made on
-    first use."""
+    calls: activation and logit buffers, each logit row's flat start, and a
+    gradient made on first use."""
 
     def __init__(self, arch: ArchSpec, rows: int):
         self.arch = arch
+        classes = arch.layer_sizes[-1]
         self.hidden = [np.empty((rows, w)) for w in arch.layer_sizes[1:-1]]
-        self.logits = np.empty((rows, arch.layer_sizes[-1]))
-        self.rows = np.arange(rows)
+        self.logits = np.empty((rows, classes))
+        self.row_starts = np.arange(rows) * classes
 
     @cached_property
     def gradient(self) -> ModelParams:
@@ -139,8 +147,8 @@ def _forward_batch(ws: _Workspace, params: ModelParams, features: np.ndarray):
     workspace's buffers, which must be for ``params.arch`` and n rows."""
     if params.arch is not ws.arch and params.arch != ws.arch:
         raise ValueError(f"workspace is for {ws.arch}, params are {params.arch}")
-    if len(features) != len(ws.rows):
-        raise ValueError(f"workspace is for {len(ws.rows)} rows, batch has {len(features)}")
+    if len(features) != len(ws.row_starts):
+        raise ValueError(f"workspace is for {len(ws.row_starts)} rows, batch has {len(features)}")
     weights, biases = params.layers
     activations = [features]
     hidden = features
@@ -163,27 +171,31 @@ def _checked_labels(labels, arch: ArchSpec) -> np.ndarray:
     return labels
 
 
-def _cross_entropy(logits: np.ndarray, rows: np.ndarray, labels, zmax: np.ndarray):
-    """Softmax cross-entropy of ``logits`` against ``labels``, shifted by the
-    row maxima ``zmax`` (n, 1): the exponentials, which overwrite ``logits``,
-    their row sums, and the mean over rows of log-sum-exp minus the label's
-    logit, as a float."""
-    picked = logits[rows, labels]
+def _cross_entropy(logits: np.ndarray, flat, zmax: np.ndarray):
+    """Softmax cross-entropy of ``logits`` against the labels at the flat
+    indices ``flat`` (row start plus label), shifted by the row maxima
+    ``zmax`` (n, 1): the exponentials, which overwrite ``logits``, their row
+    sums, and the mean over rows of log-sum-exp minus the label's logit, as a
+    float. With ``flat`` None the loss is skipped and returned as None."""
+    picked = None if flat is None else logits.ravel().take(flat)
     logits -= zmax
     exps = np.exp(logits, out=logits)
-    sums = exps.sum(axis=1, keepdims=True)
+    sums = np.add.reduce(exps, axis=1, keepdims=True)
+    if picked is None:
+        return exps, sums, None
     lse = np.log(sums) + zmax
     return exps, sums, float(np.add.reduce(lse.ravel() - picked) / len(picked))
 
 
-def loss_and_grad(params: ModelParams, features, labels, *,
-                  workspace: _Workspace | None = None) -> tuple[float, np.ndarray]:
+def loss_and_grad(params: ModelParams, features, labels, *, workspace: _Workspace | None = None,
+                  loss: bool = True) -> tuple[float | None, np.ndarray]:
     """Mean cross-entropy over a batch and its gradient via backprop.
 
     The batch is ``features`` rows (n, dims) with class indices ``labels``
     (n,). The gradient vector shares the flat layout of ``params.values``.
     With a ``workspace`` the gradient is its buffer, overwritten by the
-    workspace's next call.
+    workspace's next call. With ``loss=False`` the loss is not computed and
+    comes back as None; the gradient is the same.
     """
     if len(labels) == 0:
         raise ValueError("batch must be nonempty")
@@ -194,11 +206,13 @@ def loss_and_grad(params: ModelParams, features, labels, *,
         ws = _Workspace(params.arch, len(labels))
 
     activations, logits = _forward_batch(ws, params, features)
-    exps, sums, loss = _cross_entropy(logits, ws.rows, labels, logits.max(axis=1, keepdims=True))
+    flat = ws.row_starts + labels
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
+    exps, sums, value = _cross_entropy(logits, flat if loss else None, zmax)
 
     delta = exps
     delta /= sums
-    delta[ws.rows, labels] -= 1.0
+    delta.ravel()[flat] -= 1.0
     delta /= len(labels)
 
     weights, _ = params.layers
@@ -206,14 +220,14 @@ def loss_and_grad(params: ModelParams, features, labels, *,
     grad_w, grad_b = grad.layers
     for layer in reversed(range(len(grad_w))):
         np.matmul(activations[layer].T, delta, out=grad_w[layer])
-        delta.sum(axis=0, out=grad_b[layer])
+        np.add.reduce(delta, axis=0, out=grad_b[layer])
         if layer > 0:
             # This is the last read of activations[layer]: take its mask,
             # then let the next delta overwrite it.
             mask = activations[layer] > 0
             delta = np.matmul(delta, weights[layer].T, out=activations[layer])
             delta *= mask
-    return loss, grad.values
+    return value, grad.values
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, eta: float) -> ModelParams:
@@ -247,7 +261,8 @@ def evaluate(params: ModelParams, ds, *, workspace: _Workspace | None = None) ->
     _, logits = _forward_batch(ws, params, ds.features)
     predictions = logits.argmax(axis=1)
     accuracy = int(np.count_nonzero(predictions == labels)) / len(ds)
-    _, _, loss = _cross_entropy(logits, ws.rows, labels, logits[ws.rows, predictions][:, None])
+    zmax = logits.ravel().take(ws.row_starts + predictions)[:, None]
+    _, _, loss = _cross_entropy(logits, ws.row_starts + labels, zmax)
     return accuracy, loss
 
 

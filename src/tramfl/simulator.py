@@ -210,6 +210,19 @@ def _sorted_shards(shards, kind: str) -> list:
     return shards
 
 
+def _check_classes(shards, test_set, arch: ArchSpec) -> None:
+    """Raise ValueError when the shards or the test set have more classes
+    than ``arch`` has outputs. The learner indexes each label's logit by its
+    flat offset and, with a workspace, checks no labels, so a label past the
+    width would read and write the next row's entries."""
+    width = arch.layer_sizes[-1]
+    counts = (("shards have", max((len(s.hist.counts) for s in shards), default=0)),
+              ("test set has", test_set.num_classes))
+    for what, classes in counts:
+        if classes > width:
+            raise ValueError(f"{what} {classes} classes, but the output layer has {width}")
+
+
 def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     """Train one traveling model over the shards under ``cfg.policy``.
 
@@ -219,7 +232,9 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     transmission and at termination; stops early once `target_accuracy` is
     reached at one of the every-`eval_every` evaluations (a hit at the
     terminal one is not counted). The one model is trained in place, in a
-    workspace built for the trial; the trace evaluates in its own.
+    workspace built for the trial; the trace evaluates in its own. Shards or
+    a test set with more classes than ``cfg.arch`` has outputs are a
+    ValueError before the first step.
     """
     policy = cfg.policy
     if policy is None:
@@ -227,6 +242,7 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     if policy.kind == "gossip":
         raise ValueError("gossip runs through run_gossip, not run_tram_fl")
     shards = _sorted_shards(shards, policy.kind)
+    _check_classes(shards, test_set, cfg.arch)
     num_nodes = len(shards)
     nonempty = [s.node_id for s in shards if s.total > 0]
     if not nonempty:
@@ -249,8 +265,8 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     for iteration in range(1, cfg.max_iterations + 1):
         shard = shards[holder]
         idx, counts = draw_minibatch(shard, cfg.batch_size, rng)
-        _, grad = loss_and_grad(params, shard.features[idx], shard.labels[idx],
-                                workspace=workspace)
+        _, grad = loss_and_grad(params, shard.features.take(idx, axis=0), shard.labels[idx],
+                                workspace=workspace, loss=False)
         sgd_step(params, grad, cfg.learning_rate)
         state = update_ledger(state, counts)
         if iteration % cfg.interval == 0:
@@ -277,12 +293,13 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     is written back into every row with one broadcast. The evaluated and
     returned model is that round average, a separate ModelParams; its
     holder is recorded as -1. Training and evaluation each keep their own
-    workspace, as in :func:`run_tram_fl`. ``cfg.policy`` may be unset; set,
-    it must be gossip.
+    workspace, and checks class counts, as in :func:`run_tram_fl`.
+    ``cfg.policy`` may be unset; set, it must be gossip.
     """
     if cfg.policy is not None and cfg.policy.kind != "gossip":
         raise ValueError(f"run_gossip runs gossip, not {cfg.policy.kind}")
     shards = _sorted_shards(shards, "gossip")
+    _check_classes(shards, test_set, cfg.arch)
     num_nodes = len(shards)
     if num_nodes < 2:
         raise ValueError(f"gossip needs at least 2 nodes, got {num_nodes}")
@@ -300,8 +317,8 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     for round_num in range(1, cfg.max_iterations + 1):
         for i, shard in enumerate(shards):
             idx, _ = draw_minibatch(shard, cfg.batch_size, rng)
-            _, grad = loss_and_grad(models[i], shard.features[idx], shard.labels[idx],
-                                    workspace=workspace)
+            _, grad = loss_and_grad(models[i], shard.features.take(idx, axis=0), shard.labels[idx],
+                                    workspace=workspace, loss=False)
             sgd_step(models[i], grad, cfg.learning_rate)
         averaged = average_params(matrix, cfg.arch)
         matrix[...] = averaged.values

@@ -444,6 +444,8 @@ SINGLE_FAULTS = [
      "policies.ring: expected comma-separated node indices, got '+1,0'"),
     ("float_underscore", FULL_TEXT, "eta = 0.05", "eta = 0.0_5",
      "learner.eta: expected a number, got '0.0_5'"),
+    # nor a float, which a CSV feature does not take either
+    ("float_plus", FULL_TEXT, "eta = 0.05", "eta = +0.05", "learner.eta: expected a number, got '+0.05'"),
     ("int_list_underscore", FULL_TEXT, "layers = 4,16,4", "layers = 4,1_6,4",
      "learner.layers: expected comma-separated integers, got '4,1_6,4'"),
     ("count_table_underscore", TABLE_TEXT, "375,5125", "375,5_125",

@@ -168,11 +168,16 @@ def _load_bytes(tmp_path, data):
     (lambda tmp: _load_text(tmp, "0,\u0661.5\n"), ParseError, "line 1: non-numeric feature"),
     # a label, like a config integer, takes no sign +
     (lambda tmp: _load_text(tmp, "0,0\n+3,0\n"), ParseError, "line 2: label must be an integer, got '+3'"),
+    # nor a feature, which a config float does not take either
+    (lambda tmp: _load_text(tmp, "0,0\n1,+1.5\n"), ParseError, "line 2: non-numeric feature"),
     (lambda tmp: _load_bytes(tmp, b"0,1.0\n1,2\xff.0\n"), ParseError,
      "data.csv: line 2: byte 0xff is not UTF-8"),
+    # an empty half would fail only at its first use
+    (lambda tmp: generate_synthetic_split(2, 2, 0, 5, 1.0, 0), ValueError, "train_per_class must be >= 1, got 0"),
+    (lambda tmp: generate_synthetic_split(2, 2, 5, 0, 1.0, 0), ValueError, "test_per_class must be >= 1, got 0"),
 ], ids=["shape_mismatch", "label_above_range", "negative_label", "one_field_after_blank_line",
         "non_finite_feature", "underscore_label", "underscore_feature", "arabic_indic_label",
-        "arabic_indic_feature", "plus_label", "not_utf8"])
+        "arabic_indic_feature", "plus_label", "plus_feature", "not_utf8", "no_train_rows", "no_test_rows"])
 def test_dataset_checks(tmp_path, make, error, fragment):
     with pytest.raises(error) as info:
         make(tmp_path)

@@ -469,22 +469,28 @@ def numeric_cases(draw):
 
 
 def _assert_matches_oracle(params, features, labels, workspace=None):
-    """Evaluate, loss and gradient, and an in-place SGD step of a copy
-    against the oracle, byte for byte."""
+    """Evaluate, loss and gradient (and the gradient alone, with
+    ``loss=False``), and an in-place SGD step of a copy against the oracle,
+    byte for byte."""
     ds = LabeledDataset(features, labels, params.arch.layer_sizes[-1], params.arch.layer_sizes[0])
     with np.errstate(all="ignore"):
         got_eval = evaluate(params, ds, workspace=workspace)
         want_eval = oracle_evaluate(params, ds)
-        got_loss, got_grad = loss_and_grad(params, features, labels, workspace=workspace)
         want_loss, want_grad = oracle_loss_and_grad(params, features, labels)
-        stepped = ModelParams(params.arch, params.values.copy())
-        stepped = sgd_step(stepped, got_grad, 0.05)
         want_step = params.values - 0.05 * want_grad
     assert [type(v) for v in got_eval] == [float, float]
     assert repr(got_eval) == repr(want_eval)
-    assert type(got_loss) is float and repr(got_loss) == repr(want_loss)
-    assert got_grad.tobytes() == want_grad.tobytes()
-    assert stepped.values.tobytes() == want_step.tobytes()
+    for loss in (True, False):
+        with np.errstate(all="ignore"):
+            got_loss, got_grad = loss_and_grad(params, features, labels, workspace=workspace, loss=loss)
+            stepped = ModelParams(params.arch, params.values.copy())
+            stepped = sgd_step(stepped, got_grad, 0.05)
+        if loss:
+            assert type(got_loss) is float and repr(got_loss) == repr(want_loss)
+        else:
+            assert got_loss is None
+        assert got_grad.tobytes() == want_grad.tobytes()
+        assert stepped.values.tobytes() == want_step.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -367,6 +367,37 @@ def test_gossip_needs_node_ids_0_to_v_minus_1(small_task):
         run_gossip(shards, test, _cfg(policy=PolicySpec("gossip")))
 
 
+def _with_extra_class(ds, row):
+    """``ds`` with one class more, given to ``row``."""
+    labels = ds.labels.copy()
+    labels[row] = ds.num_classes
+    return LabeledDataset(ds.features, labels, ds.num_classes + 1, ds.dims)
+
+
+@pytest.mark.parametrize("run, policy", [(run_tram_fl, PolicySpec("dynamic")),
+                                         (run_gossip, PolicySpec("gossip"))], ids=["tram", "gossip"])
+@pytest.mark.parametrize("where, fragment", [("shards", "shards have 5 classes"),
+                                             ("test", "test set has 5 classes")], ids=["shards", "test"])
+@pytest.mark.parametrize("row", ["middle", "last"])
+def test_a_class_past_the_output_width_fails_before_the_first_step(small_task, monkeypatch, run, policy,
+                                                                     where, fragment, row):
+    """The learner finds a label's logit by its flat offset, so label 4 of a
+    4-wide output layer would read and write the next row's entries in a
+    middle row, and fall off the buffer in the last one. Each trial rejects
+    such data before training."""
+    train, test = small_task
+    steps = []
+    monkeypatch.setattr(simulator, "loss_and_grad", lambda *args, **kwargs: steps.append(args))
+    if where == "shards":
+        train = _with_extra_class(train, len(train) // 4 if row == "middle" else -1)
+    else:
+        test = _with_extra_class(test, len(test) // 2 if row == "middle" else -1)
+    shards = [make_shard(i, train, rows) for i, rows in enumerate(np.array_split(np.arange(len(train)), 2))]
+    with pytest.raises(ValueError, match=f"{fragment}, but the output layer has 4"):
+        run(shards, test, _cfg(policy=policy))
+    assert steps == []
+
+
 @pytest.mark.parametrize("policy", [PolicySpec("dynamic"), PolicySpec("random"),
                                     PolicySpec("static", (0, 1))], ids=lambda p: p.name())
 def test_gossip_rejects_another_policy(small_task, policy):
