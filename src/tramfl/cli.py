@@ -45,7 +45,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, check_data, parse_config
 from .datasets import LabeledDataset, generate_synthetic_split, load_csv
 from .errors import ParseError, StateError
 from .learner import ModelParams
@@ -103,17 +103,11 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatas
             d.classes, d.dims, d.per_class, d.test_per_class, d.separation, d.seed
         )
     train, test = _read_csv(d, "train"), _read_csv(d, "test")
-    layers = cfg.run.arch.layer_sizes
-    if train.dims != layers[0] or test.dims != layers[0]:
-        raise ConfigError(
-            f"learner.layers: first size {layers[0]} does not match CSV dims "
-            f"{train.dims}/{test.dims}"
-        )
-    if train.num_classes > layers[-1] or test.num_classes > layers[-1]:
-        raise ConfigError(
-            f"learner.layers: last size {layers[-1]} is smaller than the CSV label range"
-        )
-    absent = np.flatnonzero(np.bincount(train.labels, minlength=train.num_classes) == 0)
+    if test.dims != train.dims:
+        raise ConfigError(f"dataset.test: {d.test} has {test.dims} features per row, "
+                          f"the training set {d.train} {train.dims}")
+    totals = np.bincount(train.labels)
+    absent = np.flatnonzero(totals == 0)
     if len(absent):
         raise ConfigError(
             f"dataset.train: classes {absent.tolist()} have no rows in {d.train}; "
@@ -124,6 +118,7 @@ def _build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatas
         raise ConfigError(
             f"dataset.test: labels {unseen.tolist()} do not occur in the training set {d.train}"
         )
+    check_data(cfg.partition, cfg.run.arch, train.dims, totals)
     return train, test
 
 
@@ -215,10 +210,7 @@ def run_experiment(
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
     train, test = _build_datasets(cfg)
-    try:
-        shards = make_shards(train, cfg.partition)
-    except ValueError as exc:
-        raise ConfigError(f"partition.{exc}") from None
+    shards = make_shards(train, cfg.partition)
     _check_shards_visitable(cfg, shards)
     os.makedirs(out_dir, exist_ok=True)
     staging, dump_staging = _staging_dir(out_dir), None

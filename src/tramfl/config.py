@@ -5,10 +5,12 @@ sections or keys are rejected, and every error names the offending field as
 ``section.key``. The types the sections build (``DatasetSection``,
 ``PartitionPlan``, ``ArchSpec``, ``RunConfig``) state their own rules; this
 module states only the required keys, ``partition.nodes >= 2``, ``run.trials
->= 1`` and the checks across sections. The [policies] section is the one
+>= 1`` and the checks across sections. :func:`check_data` holds every rule
+between the data and [learner] or [partition], for synthetic data at parse
+time and for CSV data once loaded. The [policies] section is the one
 free-form part: each key is a policy label (used in output file names) and
-each value one of ``dynamic``, ``random``, ``gossip``, ``static:<route>``, or
-``static:all`` which expands to every route over the configured node count.
+each value one of ``dynamic``, ``random``, ``gossip``, ``static:<route>``,
+or ``static:all`` which expands to every route over the configured node count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .datasets import ascii_number
+from .datasets import ascii_number, check_synthetic
 from .errors import ConfigError
 from .learner import ArchSpec
 from .partition import PartitionPlan, check_fits
@@ -66,11 +68,7 @@ class DatasetSection:
         if self.kind == "synthetic":
             if self.test_per_class is None:
                 object.__setattr__(self, "test_per_class", self.per_class)
-            for name, least in (("classes", 2), ("dims", 1), ("per_class", 1), ("test_per_class", 1)):
-                if getattr(self, name) < least:
-                    raise ValueError(f"{name}: must be >= {least}, got {getattr(self, name)}")
-            if not self.separation > 0:
-                raise ValueError(f"separation: must be > 0, got {self.separation}")
+            check_synthetic(self.classes, self.dims, self.per_class, self.test_per_class, self.separation)
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
@@ -207,26 +205,30 @@ def _take_section(raw_sections, name) -> dict:
     return parsed
 
 
-def _build_partition(parsed, dataset: DatasetSection) -> PartitionPlan:
-    """The PartitionPlan, of at least two nodes; synthetic data is checked here, CSV data once loaded."""
+def _build_partition(parsed) -> PartitionPlan:
+    """The PartitionPlan, of at least two nodes; check_data fits it to the data."""
     if parsed["nodes"] < 2:
         raise ConfigError(f"partition.nodes: must be >= 2, got {parsed['nodes']}")
     try:
-        plan = PartitionPlan(**parsed)
-        if dataset.kind == "synthetic":
-            check_fits(plan, [dataset.per_class] * dataset.classes)
+        return PartitionPlan(**parsed)
     except ValueError as exc:
         raise ConfigError(f"partition.{exc}") from None
-    return plan
 
 
-def _check_learner(arch: ArchSpec, dataset: DatasetSection) -> None:
-    layers = arch.layer_sizes
-    if dataset.kind == "synthetic":
-        if layers[0] != dataset.dims:
-            raise ConfigError(f"learner.layers: first size {layers[0]} != dataset.dims {dataset.dims}")
-        if layers[-1] != dataset.classes:
-            raise ConfigError(f"learner.layers: last size {layers[-1]} != dataset.classes {dataset.classes}")
+def check_data(partition: PartitionPlan, arch: ArchSpec, dims: int, class_totals) -> None:
+    """Check data of ``dims`` features and ``class_totals[c]`` rows of class c against [learner]
+    and [partition]: at least 2 classes, ``layers`` as wide at both ends, then ``check_fits``."""
+    layers, classes = arch.layer_sizes, len(class_totals)
+    if classes < 2:
+        raise ConfigError(f"dataset.classes: must be >= 2, got {classes}")
+    if layers[0] != dims:
+        raise ConfigError(f"learner.layers: first size {layers[0]} != dataset.dims {dims}")
+    if layers[-1] != classes:
+        raise ConfigError(f"learner.layers: last size {layers[-1]} != dataset.classes {classes}")
+    try:
+        check_fits(partition, class_totals)
+    except ValueError as exc:
+        raise ConfigError(f"partition.{exc}") from None
 
 
 def _build_run(learner, parsed) -> tuple[RunConfig, int]:
@@ -311,10 +313,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         dataset = DatasetSection(**parsed)
     except ValueError as exc:
         raise ConfigError(f"dataset.{exc}") from None
-    partition = _build_partition(_take_section(raw_sections, "partition"), dataset)
+    partition = _build_partition(_take_section(raw_sections, "partition"))
     learner = _take_section(raw_sections, "learner")
     run, trials = _build_run(learner, _take_section(raw_sections, "run"))
-    _check_learner(run.arch, dataset)
+    if dataset.kind == "synthetic":
+        check_data(partition, run.arch, dataset.dims, [dataset.per_class] * dataset.classes)
     policies = _build_policies(raw_sections, partition.nodes)
     _check_sends(run, policies)
     return ExperimentConfig(dataset, partition, run, trials, policies)

@@ -59,6 +59,17 @@ class LabelHistogram:
         self.counts = np.asarray(self.counts, dtype=np.float64)
 
 
+def check_synthetic(classes, dims, per_class, test_per_class, separation) -> None:
+    """The ranges of a synthetic dataset, each ``ValueError`` starting with the
+    ``[dataset]`` key it names, as ``DatasetSection`` reports them."""
+    for name, value, least in (("classes", classes, 2), ("dims", dims, 1), ("per_class", per_class, 1),
+                               ("test_per_class", test_per_class, 1)):
+        if value < least:
+            raise ValueError(f"{name}: must be >= {least}, got {value}")
+    if not separation > 0:
+        raise ValueError(f"separation: must be > 0, got {separation}")
+
+
 def generate_synthetic(
     num_classes: int, dims: int, per_class: int, separation: float, seed: int
 ) -> LabeledDataset:
@@ -69,15 +80,7 @@ def generate_synthetic(
     unit directions drawn from the seeded generator. Samples are ordered
     class-major (all of class 0, then class 1, ...).
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    if per_class < 1:
-        raise ValueError(f"per_class must be >= 1, got {per_class}")
-    if not separation > 0:
-        raise ValueError(f"separation must be > 0, got {separation}")
-
+    check_synthetic(num_classes, dims, per_class, per_class, separation)
     rng = np.random.default_rng(seed)
     if dims >= num_classes:
         means = np.zeros((num_classes, dims))
@@ -105,11 +108,9 @@ def generate_synthetic_split(
     Both halves share the same class means (a single generator call), which a
     pair of independently seeded calls to :func:`generate_synthetic` would not
     guarantee when ``dims < num_classes``. Each half needs at least one
-    sample per class.
+    sample per class; the ranges name ``train_per_class`` as ``per_class``.
     """
-    for name, count in (("train_per_class", train_per_class), ("test_per_class", test_per_class)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    check_synthetic(num_classes, dims, train_per_class, test_per_class, separation)
     block = train_per_class + test_per_class
     full = generate_synthetic(num_classes, dims, block, separation, seed)
     by_class = full.features.reshape(num_classes, block, dims)

@@ -38,8 +38,8 @@ go stale; the array's contents may change in place. ``loss_and_grad`` and
 once per trial for one architecture and one batch row count. It keeps the
 activation and logit buffers, the logit rows' flat starts and the gradient
 between calls, so a step allocates little. A gradient returned through a workspace is that
-workspace's buffer: its next ``loss_and_grad`` overwrites it. Labels are
-range-checked against the output width only on the path without a
+workspace's buffer: its next ``loss_and_grad`` overwrites it. Labels (one
+integer per row, below the output width) are checked only without a
 workspace; with one, the caller vouches for them (the simulator checks each
 trial's class counts against the width before its first step).
 ``loss_and_grad(..., loss=False)`` skips the loss alone, returning it as
@@ -162,13 +162,15 @@ def _forward_batch(ws: _Workspace, params: ModelParams, features: np.ndarray):
     return activations, logits
 
 
-def _checked_labels(labels, arch: ArchSpec) -> np.ndarray:
-    """``labels`` as an array, each a class of ``arch``'s output layer."""
+def _checked_labels(labels, arch: ArchSpec, rows: int) -> np.ndarray:
+    """``labels`` as an array of ``rows`` integers, each a class of ``arch``'s output layer."""
     labels = np.asarray(labels)
     classes = arch.layer_sizes[-1]
+    if labels.shape != (rows,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"need {rows} integer labels, one per row, got {labels.dtype} {labels.shape}")
     if not 0 <= labels.min() <= labels.max() < classes:
         raise ValueError(f"labels must lie in 0..{classes - 1}")
-    return labels
+    return labels.astype(np.int64, copy=False)  # uint64 plus an int64 row start would be a float
 
 
 def _cross_entropy(logits: np.ndarray, flat, zmax: np.ndarray):
@@ -202,7 +204,7 @@ def loss_and_grad(params: ModelParams, features, labels, *, workspace: _Workspac
     features = np.asarray(features, dtype=np.float64)
     ws = workspace
     if ws is None:
-        labels = _checked_labels(labels, params.arch)
+        labels = _checked_labels(labels, params.arch, len(features))
         ws = _Workspace(params.arch, len(labels))
 
     activations, logits = _forward_batch(ws, params, features)
@@ -256,7 +258,7 @@ def evaluate(params: ModelParams, ds, *, workspace: _Workspace | None = None) ->
         raise ValueError("cannot evaluate on an empty dataset")
     labels, ws = ds.labels, workspace
     if ws is None:
-        labels = _checked_labels(labels, params.arch)
+        labels = _checked_labels(labels, params.arch, len(ds.features))
         ws = _Workspace(params.arch, len(ds))
     _, logits = _forward_batch(ws, params, ds.features)
     predictions = logits.argmax(axis=1)

@@ -7,8 +7,8 @@ either an analytic rate or an explicit per-node count table.
 Each split rule is stated once, on the plan alone in ``PartitionPlan`` (which
 fields each scheme takes included) and against the training set's class
 totals in :func:`check_fits`. Its ``ValueError`` starts with the field it
-names, a ``[partition]`` config key, so the config reports the same text
-behind a ``partition.`` prefix.
+names, a ``[partition]`` config key, so ``config.check_data`` reports the
+same text for synthetic and CSV data, behind a ``partition.`` prefix.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tramfl import cli, enumerate_static_routes, parse_config
+from tramfl import ConfigError, cli, enumerate_static_routes, parse_config, parse_config_text
 from tramfl.cli import main, run_experiment
 from tramfl.errors import StateError
 from tramfl.learner import ArchSpec, ModelParams
@@ -441,7 +441,7 @@ def test_csv_test_labels_missing_from_train_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("rows, layers, message", [
     ("0,0.0,1.0,2.0\n1,1.0,0.0,2.0\n", "4,8,2", "learner.layers: first size 4"),
-    ("0,0.0\n1,1.0\n2,2.0\n3,3.0\n", "1,8,3", "smaller than the CSV label range"),
+    ("0,0.0\n1,1.0\n2,2.0\n3,3.0\n", "1,8,3", "learner.layers: last size 3 != dataset.classes 4"),
 ], ids=["three_features_under_four_inputs", "four_labels_under_three_outputs"])
 def test_csv_shape_checked_against_layers(tmp_path, capsys, rows, layers, message):
     (tmp_path / "train.csv").write_text(rows)
@@ -456,6 +456,83 @@ def test_csv_shape_checked_against_layers(tmp_path, capsys, rows, layers, messag
     )
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+def _data_kinds(tmp_path, classes, partition, layers):
+    """One shape of generate_synthetic_split (classes x 4 dims, 10 training and
+    5 test rows per class), as a synthetic config and as a CSV pair written by
+    save_csv, both with the given [partition] and [learner] layers."""
+    from tramfl import generate_synthetic_split, save_csv
+
+    shape = {"classes": classes, "dims": 4, "per_class": 10, "test_per_class": 5, "separation": 3.0,
+             "seed": 5}
+    for half, data in zip(("train", "test"), generate_synthetic_split(*shape.values())):
+        save_csv(data, tmp_path / f"{half}.csv")
+    rest = (f"\n[partition]\n{partition}\n\n[learner]\nlayers = {layers}\neta = 0.1\nbatch = 2\n\n"
+            "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n[policies]\ndynamic = dynamic\n")
+    synthetic = "[dataset]\nkind = synthetic\n" + "".join(f"{k} = {v}\n" for k, v in shape.items())
+    csv = f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n"
+    return {"synthetic": synthetic + rest, "csv": csv + rest}
+
+
+@pytest.mark.parametrize("classes, partition, layers, message", [
+    (3, "scheme = contiguous\nnodes = 2", "5,8,3", "learner.layers: first size 5 != dataset.dims 4"),
+    (3, "scheme = contiguous\nnodes = 2", "4,8,4", "learner.layers: last size 4 != dataset.classes 3"),
+    (3, "scheme = contiguous\nnodes = 4", "4,8,3", "partition.nodes: 4 exceeds 3 labels"),
+    (3, "scheme = random_k\nnodes = 2\nk_min = 1\nk_max = 4", "4,8,3", "partition.k_max: exceeds 3 classes"),
+    (2, "scheme = table\nnodes = 2\ncounts = 6,0; 5,1", "4,8,2",
+     "partition.counts: the nodes ask for 11 samples of class 0, the training set holds 10"),
+    (3, "scheme = exponential\nnodes = 2\nrate = 1.0", "4,8,3",
+     "partition.scheme: exponential needs a 2-class dataset, got 3"),
+], ids=["first_size", "last_size", "contiguous_nodes", "random_k_k_max", "table_counts", "exponential_classes"])
+def test_synthetic_and_csv_data_break_a_rule_alike(tmp_path, capsys, classes, partition, layers, message):
+    """config.check_data states each rule between the data and [learner] or
+    [partition] once: the same data as a synthetic config and as CSV files
+    gives the same config error, at parse time or once loaded."""
+    for kind, text in _data_kinds(tmp_path, classes, partition, layers).items():
+        (tmp_path / "exp.cfg").write_text(text)
+        assert main(["run", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "out")]) == 2, kind
+        assert capsys.readouterr().err == f"config error: {message}\n", kind
+        assert not (tmp_path / "out").exists()
+
+
+def test_one_class_csv_is_config_error(tmp_path, capsys):
+    """A one-unit softmax predicts its one class every time, so a run on it
+    'reached' any target at the first transmission; it is the error a
+    synthetic config with classes = 1 gives."""
+    (tmp_path / "train.csv").write_text("0,0.0\n0,1.0\n0,0.5\n0,1.5\n")
+    (tmp_path / "test.csv").write_text("0,0.25\n0,0.75\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        "[partition]\nscheme = random_k\nnodes = 2\nk_min = 1\nk_max = 1\n\n"
+        "[learner]\nlayers = 1,4,1\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        "[policies]\ndynamic = dynamic\nrandom = random\nring = static:0,1\ngossip = gossip\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: dataset.classes: must be >= 2, got 1\n"
+    assert not (tmp_path / "out").exists()
+    synthetic = _data_kinds(tmp_path, 2, "scheme = contiguous\nnodes = 2", "4,8,2")["synthetic"]
+    with pytest.raises(ConfigError, match=r"^dataset\.classes: must be >= 2, got 1$"):
+        parse_config_text(synthetic.replace("classes = 2", "classes = 1"))
+
+
+def test_csv_test_rows_need_the_training_width(tmp_path, capsys):
+    (tmp_path / "train.csv").write_text("0,0.0,1.0\n1,1.0,0.0\n")
+    (tmp_path / "test.csv").write_text("0,0.0,1.0,2.0\n1,1.0,0.0,2.0\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"[dataset]\nkind = csv\ntrain = {tmp_path / 'train.csv'}\ntest = {tmp_path / 'test.csv'}\n\n"
+        "[partition]\nscheme = contiguous\nnodes = 2\n\n"
+        "[learner]\nlayers = 2,4,2\neta = 0.1\nbatch = 2\n\n"
+        "[run]\niterations = 5\ntarget_accuracy = 0.5\n\n"
+        "[policies]\ndynamic = dynamic\n"
+    )
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: dataset.test: {tmp_path / 'test.csv'} has 3 features per row, "
+        f"the training set {tmp_path / 'train.csv'} 2\n")
 
 
 _TWO_CLASS_TRAIN = "0,0.0,1.0\n1,1.0,0.0\n0,0.5,1.0\n1,1.0,0.5\n"
@@ -730,22 +807,27 @@ _READERS = {"dataset": {"dataset", "partition", "learner"}, "partition": {"parti
 
 
 @st.composite
-def _csv_case(draw):
-    """A small CSV train/test pair and a config that reads it."""
+def _csv_case(draw, fits=False):
+    """A small CSV train/test pair and a config that reads it. With ``fits``
+    the pair passes every data check: its features are in bounds, the
+    training set holds every class, and the partition fits the classes."""
     classes, dims = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    features = [f for f in _FEATURES if abs(float(f)) <= cli.FEATURE_LIMIT] if fits else _FEATURES
 
-    def rows(max_rows):
-        labels = draw(st.lists(st.integers(0, classes - 1), min_size=1, max_size=max_rows))
+    def rows(max_rows, cover=()):
+        labels = [*cover, *draw(st.lists(st.integers(0, classes - 1), min_size=0 if cover else 1,
+                                         max_size=max_rows - len(cover)))]
         return "".join(
-            f"{y}," + ",".join(draw(st.sampled_from(_FEATURES)) for _ in range(dims)) + "\n"
+            f"{y}," + ",".join(draw(st.sampled_from(features)) for _ in range(dims)) + "\n"
             for y in labels
         )
 
-    files = {"train.csv": rows(12), "test.csv": rows(6)}
-    partition = draw(st.sampled_from([
-        "scheme = contiguous\nnodes = 2", "scheme = random_k\nnodes = 2\nk_min = 1\nk_max = 2",
-        "scheme = exponential\nnodes = 2\nrate = 1.0", "scheme = table\nnodes = 2\ncounts = 1,0; 0,1",
-    ]))
+    files = {"train.csv": rows(12, range(classes) if fits else ()), "test.csv": rows(6)}
+    partitions = ["scheme = contiguous\nnodes = 2", "scheme = random_k\nnodes = 2\nk_min = 1\nk_max = 2"]
+    if classes == 2 or not fits:
+        partitions += ["scheme = exponential\nnodes = 2\nrate = 1.0",
+                       "scheme = table\nnodes = 2\ncounts = 1,0; 0,1"]
+    partition = draw(st.sampled_from(partitions))
     text = (
         "[dataset]\nkind = csv\ntrain = {dir}/train.csv\ntest = {dir}/test.csv\n\n"
         f"[partition]\n{partition}\n\n[learner]\nlayers = {dims},8,{classes}\neta = 0.1\n"
@@ -758,15 +840,18 @@ def _csv_case(draw):
 @st.composite
 def _fuzz_case(draw):
     """(config text, data files, sections a fault may be reported under)."""
+    fits = False
     if draw(st.booleans()):
-        text, files = draw(_csv_case())
+        fits = draw(st.booleans())
+        text, files = draw(_csv_case(fits))
         touched = {"dataset", "partition"}
     else:
         text, files, touched = draw(st.sampled_from(_SHIPPED)), {}, set()
     sections = _sections(text)
-    # Mostly retyped values, so that many cases get past parsing.
+    # Mostly retyped values, so that many cases get past parsing; data that
+    # fits gets at most one, so that many of its cases run.
     ops = ["set"] * 6 + ["drop", "drop", "add", "duplicate", "drop_section"]
-    for _ in range(draw(st.integers(0 if files else 1, 2))):
+    for _ in range(draw(st.integers(0 if files else 1, 1 if fits else 2))):
         op = draw(st.sampled_from(ops))
         name, pairs = draw(st.sampled_from(sections))
         touched |= _READERS.get(name, {name})

@@ -11,6 +11,8 @@ from tramfl import (
     PolicySpec,
     RunConfig,
     format_config,
+    generate_synthetic,
+    generate_synthetic_split,
     parse_config,
     parse_config_text,
 )
@@ -620,6 +622,32 @@ def test_config_keeps_no_rule_of_a_runtime_type():
               if case[-1].startswith("dataset.") and case[0] != "missing_kind"
               and any(rule in case[-1] for rule in ("must be", "missing required", "not valid", "one of"))]
     assert stated and set(stated) <= parity
+
+
+# generate_synthetic(_split) arguments that break the range of a SINGLE_FAULTS case.
+_GENERATOR_FAULTS = [
+    ("classes_range", lambda: generate_synthetic(1, 4, 40, 3.0, 0)),
+    ("dims_range", lambda: generate_synthetic(4, 0, 40, 3.0, 0)),
+    ("per_class_range", lambda: generate_synthetic(4, 4, 0, 3.0, 0)),
+    ("separation_range", lambda: generate_synthetic(4, 4, 40, -1.5, 0)),
+    ("per_class_range", lambda: generate_synthetic_split(4, 4, 0, 20, 3.0, 0)),
+    ("test_per_class_range", lambda: generate_synthetic_split(4, 4, 40, 0, 3.0, 0)),
+]
+
+
+def test_data_rules_are_stated_once():
+    """The rules between the data and [learner] or [partition] are
+    config.check_data's alone, for synthetic and CSV data alike, and the
+    synthetic generators raise DatasetSection's text for its ranges."""
+    from tramfl import cli, config
+
+    assert not hasattr(config, "_check_learner")
+    assert "learner.layers" not in Path(cli.__file__).read_text(encoding="utf-8")
+    for fault, make in _GENERATOR_FAULTS:
+        config_message = next(case[-1] for case in SINGLE_FAULTS if case[0] == fault)
+        with pytest.raises(ValueError) as info:
+            make()
+        assert f"dataset.{info.value}" == config_message, fault
 
 
 # (id, base text, old, new, the parsed value, expected): every range rule at

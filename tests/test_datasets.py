@@ -173,8 +173,8 @@ def _load_bytes(tmp_path, data):
     (lambda tmp: _load_bytes(tmp, b"0,1.0\n1,2\xff.0\n"), ParseError,
      "data.csv: line 2: byte 0xff is not UTF-8"),
     # an empty half would fail only at its first use
-    (lambda tmp: generate_synthetic_split(2, 2, 0, 5, 1.0, 0), ValueError, "train_per_class must be >= 1, got 0"),
-    (lambda tmp: generate_synthetic_split(2, 2, 5, 0, 1.0, 0), ValueError, "test_per_class must be >= 1, got 0"),
+    (lambda tmp: generate_synthetic_split(2, 2, 0, 5, 1.0, 0), ValueError, "per_class: must be >= 1, got 0"),
+    (lambda tmp: generate_synthetic_split(2, 2, 5, 0, 1.0, 0), ValueError, "test_per_class: must be >= 1, got 0"),
 ], ids=["shape_mismatch", "label_above_range", "negative_label", "one_field_after_blank_line",
         "non_finite_feature", "underscore_label", "underscore_feature", "arabic_indic_label",
         "arabic_indic_feature", "plus_label", "plus_feature", "not_utf8", "no_train_rows", "no_test_rows"])

@@ -291,6 +291,32 @@ def test_labels_outside_the_output_layer_are_rejected(labels):
         evaluate(params, ds)
 
 
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0.0, 1.0, 2.0, 0.0]), r"need 4 integer labels, one per row, got float64 \(4,\)"),
+    (np.array([0, 1, 2]), r"need 4 integer labels, one per row, got int64 \(3,\)"),
+], ids=["non_integer", "one_label_short"])
+def test_labels_not_one_class_per_row_are_rejected(labels, message):
+    """Without a workspace, a float label is a ValueError, not numpy's cast
+    error, and a label count that is not the row count names the labels, not
+    a workspace the caller never passed."""
+    params = init_he(ArchSpec((2, 3)), 0)
+    features = np.ones((4, 2))
+    with pytest.raises(ValueError, match=message):
+        loss_and_grad(params, features, labels)
+    ds = LabeledDataset(features, [0, 1, 2, 0], 3, 2)
+    ds.labels = labels  # past LabeledDataset's own checks
+    with pytest.raises(ValueError, match=message):
+        evaluate(params, ds)
+
+
+def test_unsigned_labels_are_read_as_classes():
+    params = init_he(ArchSpec((2, 3)), 0)
+    features, labels = np.ones((4, 2)), np.array([0, 1, 2, 0])
+    expected = loss_and_grad(params, features, labels)
+    got = loss_and_grad(params, features, labels.astype(np.uint64))
+    assert got[0] == expected[0] and got[1].tobytes() == expected[1].tobytes()
+
+
 def test_evaluate_empty_error():
     with pytest.raises(ValueError):
         evaluate(_zero_params(ArchSpec((2, 2))), LabeledDataset(np.zeros((0, 2)), [], 2, 2))
