@@ -9,8 +9,8 @@ module states only the required keys, ``partition.nodes >= 2``, ``run.trials
 between the data and [learner] or [partition], for synthetic data at parse
 time and for CSV data once loaded. The [policies] section is the one
 free-form part: each key is a policy label (used in output file names) and
-each value one of ``dynamic``, ``random``, ``gossip``, ``static:<route>``,
-or ``static:all`` which expands to every route over the configured node count.
+each value one of ``dynamic``, ``random``, ``gossip``, ``static:<route>``, or
+``static:all`` which expands to every route over the configured node count.
 """
 
 from __future__ import annotations
