@@ -26,24 +26,39 @@ class RoutingState:
 
 
 def _variances(columns: np.ndarray) -> np.ndarray:
-    """Population variance of each column of a (C, V) array.
+    """Population variance of each column of a C-contiguous (C, V) array.
 
-    Both sums run down each column one row at a time, as a left-to-right
-    ``+=`` loop would, and each deviation is squared with one multiply, so
-    the bits do not depend on the Python version.
+    Both sums are column reductions. With V >= 2 numpy runs an axis-0
+    reduction row by row, so each column is summed one class at a time, in
+    the left-to-right order of :func:`dispersion`, and each deviation is
+    squared with one multiply: every variance has ``dispersion``'s bits. With
+    V == 1 numpy sums the one column pairwise, and for C >= 8 its bits may
+    differ, but the argmin of one candidate is that candidate, so the
+    router's choice cannot change.
     """
     size = columns.shape[0]
-    mean = np.add.accumulate(columns, axis=0)[-1] / size
+    mean = np.add.reduce(columns, axis=0) / size
     deviations = columns - mean
-    return np.add.accumulate(deviations * deviations, axis=0)[-1] / size
+    deviations *= deviations
+    return np.add.reduce(deviations, axis=0) / size
 
 
 def dispersion(hist: LabelHistogram) -> float:
     """Population variance of the histogram entries, in the arithmetic the
-    router ranks its candidates with."""
-    if hist.counts.size == 0:
+    router ranks its candidates with.
+
+    Both sums run down the entries one at a time, as a left-to-right ``+=``
+    loop would, and each deviation is squared with one multiply, so the bits
+    do not depend on the Python version. The sums use ``np.add.accumulate``:
+    ``np.add.reduce`` over a single column sums pairwise and may change the
+    bits, which the router's multi-column reduction does not.
+    """
+    counts = hist.counts
+    if counts.size == 0:
         raise ValueError("dispersion of an empty histogram is undefined")
-    return float(_variances(hist.counts[:, None])[0])
+    mean = np.add.accumulate(counts)[-1] / counts.size
+    deviations = counts - mean
+    return float(np.add.accumulate(deviations * deviations)[-1] / counts.size)
 
 
 def _check_volume(volume: int) -> None:
@@ -108,7 +123,7 @@ def select_next_dynamic(state: RoutingState, shards, volume: int) -> int:
     if len(ledger) != len(shards.usage):
         raise ValueError(f"ledger length {len(ledger)} does not match the "
                          f"{len(shards.usage)} classes of the shards")
-    return shards.node_ids[np.argmin(_variances(ledger[:, None] + shards.usage))]
+    return shards.node_ids[_variances(ledger[:, None] + shards.usage).argmin()]
 
 
 def next_static(route: tuple[int, ...], holder: int) -> int:

@@ -849,9 +849,10 @@ def _fuzz_case(draw):
         text, files, touched = draw(st.sampled_from(_SHIPPED)), {}, set()
     sections = _sections(text)
     # Mostly retyped values, so that many cases get past parsing; data that
-    # fits gets at most one, so that many of its cases run.
+    # fits and the shipped configs get at most one, so that many of their
+    # cases run.
     ops = ["set"] * 6 + ["drop", "drop", "add", "duplicate", "drop_section"]
-    for _ in range(draw(st.integers(0 if files else 1, 1 if fits else 2))):
+    for _ in range(draw(st.integers(0, 2 if files and not fits else 1))):
         op = draw(st.sampled_from(ops))
         name, pairs = draw(st.sampled_from(sections))
         touched |= _READERS.get(name, {name})

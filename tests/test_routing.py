@@ -1,10 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from golden_host import _umath
 from test_goldens import QUICKSTART, QUICKSTART_SHA256
 
 from tramfl import (
@@ -155,6 +159,54 @@ def test_quickstart_does_not_depend_on_the_builtin_sum(tmp_path, capsys, monkeyp
     assert got == QUICKSTART_SHA256
 
 
+@st.composite
+def router_matrices(draw):
+    """The matrix the router scores: an integer ledger added to the
+    :func:`expected_usage` columns of 2-40 nonempty shards over 2-12 classes."""
+    num_classes = draw(st.integers(min_value=2, max_value=12))
+    row = st.lists(st.integers(min_value=0, max_value=50),
+                   min_size=num_classes, max_size=num_classes).filter(any)
+    rows = draw(st.lists(row, min_size=2, max_size=40))
+    top = draw(st.sampled_from([200, 10**4, 10**8]))
+    ledger = draw(st.lists(st.integers(min_value=0, max_value=top),
+                           min_size=num_classes, max_size=num_classes))
+    volume = draw(st.integers(min_value=1, max_value=64)) * draw(st.integers(min_value=1, max_value=8))
+    table = RouteTable([fake_shard(i, counts) for i, counts in enumerate(rows)], volume)
+    return np.asarray(ledger, dtype=float)[:, None] + table.usage
+
+
+@settings(max_examples=200, deadline=None)
+@given(router_matrices())
+def test_router_variances_have_the_dispersion_bytes(matrix):
+    """Each candidate's variance has the bits :func:`dispersion` gives its
+    column, so a router that sums pairwise, or in any other order, fails."""
+    got = [variance.hex() for variance in routing._variances(matrix).tolist()]
+    assert got == [dispersion(LabelHistogram(column)).hex() for column in matrix.T]
+
+
+@pytest.mark.skipif(not _umath.__cpu_features__.get("AVX512_SKX"),
+                    reason="numpy reports no AVX512_SKX on this CPU, so its default "
+                           "loops are already the AVX2 ones")
+def test_router_variances_have_the_dispersion_bytes_under_avx2_loops(tmp_path):
+    """The same property in a fresh interpreter with numpy's AVX-512 loops
+    switched off, as an AVX2-only host runs it. The child checks that they
+    are off, so a variable that stops taking effect fails instead of testing
+    the default loops again."""
+    script = (
+        "from golden_host import _umath\n"
+        "assert not _umath.__cpu_features__['AVX512_SKX'], 'AVX-512 loops are still on'\n"
+        "import test_routing\n"
+        "test_routing.test_router_variances_have_the_dispersion_bytes()\n"
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(os.path.dirname(tests), "src"), tests, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+
+
 def test_expected_usage_direct():
     usage = expected_usage(fake_shard(0, [10, 0]), 2 * 3)
     assert usage.counts.tolist() == [6.0, 0.0]
@@ -203,6 +255,14 @@ def test_select_may_keep_current_holder():
 def test_select_skips_empty_shards():
     shards = [fake_shard(0, [0, 0]), fake_shard(1, [3, 3])]
     assert select_next_dynamic(_state([9.0, 0.0]), shards, 1) == 1
+    # One nonempty shard over 10 classes: the router scores a (10, 1) matrix,
+    # which numpy sums pairwise, and on this ledger its variance rounds apart
+    # from dispersion's; the one candidate is still the choice.
+    shards = [fake_shard(0, [0] * 10), fake_shard(1, [0] * 10),
+              fake_shard(2, [7, 1, 9, 2, 8, 3, 6, 4, 5, 1])]
+    ledger = [2831967, 535264, 12428327, 828430, 67062441, 52561776, 64718951, 25729979,
+              61538511, 76405491]
+    assert select_next_dynamic(_state(ledger), shards, 48) == 2
 
 
 def test_select_rejects_a_ledger_of_another_length():
