@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -109,28 +110,13 @@ def make_shard(node_id: int, ds: LabeledDataset, rows) -> DatasetShard:
     return DatasetShard(node_id, ds.features[rows], labels, hist, len(rows))
 
 
-def _shards_from_label_sets(ds: LabeledDataset, label_sets: list[set[int]]) -> list[DatasetShard]:
-    return [
-        make_shard(node_id, ds, np.flatnonzero(np.isin(ds.labels, sorted(labels))))
-        for node_id, labels in enumerate(label_sets)
-    ]
-
-
 def split_contiguous_labels(ds: LabeledDataset, num_nodes: int) -> list[DatasetShard]:
     """Partition labels into contiguous groups of near-equal size.
 
     Remainder labels go to the last nodes, so 10 classes over 3 nodes yields
     group sizes 3, 3, 4. Every sample lands in exactly one shard.
     """
-    check_fits(PartitionPlan("contiguous", num_nodes), np.bincount(ds.labels, minlength=ds.num_classes))
-    base, rem = divmod(ds.num_classes, num_nodes)
-    sizes = [base] * (num_nodes - rem) + [base + 1] * rem
-    label_sets = []
-    start = 0
-    for size in sizes:
-        label_sets.append(set(range(start, start + size)))
-        start += size
-    return _shards_from_label_sets(ds, label_sets)
+    return make_shards(ds, PartitionPlan("contiguous", num_nodes))
 
 
 def split_random_k_labels(
@@ -143,31 +129,7 @@ def split_random_k_labels(
     assigned labels, so samples whose label is held by several nodes are
     duplicated into each of those shards.
     """
-    num_classes = ds.num_classes
-    class_totals = np.bincount(ds.labels, minlength=num_classes)
-    check_fits(PartitionPlan("random_k", num_nodes, k_min, k_max), class_totals)
-    for _ in range(MAX_COVERAGE_ATTEMPTS):
-        sizes = rng.integers(k_min, k_max + 1, size=num_nodes)
-        label_sets = [set(rng.choice(num_classes, size=k, replace=False).tolist()) for k in sizes]
-        if set().union(*label_sets) == set(range(num_classes)):
-            return _shards_from_label_sets(ds, label_sets)
-    raise StateError(
-        f"no full label coverage after {MAX_COVERAGE_ATTEMPTS} assignment draws"
-    )
-
-
-def _assign_by_counts(ds: LabeledDataset, counts) -> list[DatasetShard]:
-    """Assign the first available samples of each class, in dataset order."""
-    by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
-    cursors = [0] * ds.num_classes
-    shards = []
-    for node_id, row in enumerate(counts):
-        picked = []
-        for c, n in enumerate(row):
-            picked.append(by_class[c][cursors[c] : cursors[c] + n])
-            cursors[c] += n
-        shards.append(make_shard(node_id, ds, np.sort(np.concatenate(picked))))
-    return shards
+    return _split(ds, PartitionPlan("random_k", num_nodes, k_min, k_max), rng)
 
 
 def split_exponential_binary(
@@ -187,31 +149,62 @@ def split_exponential_binary(
     """
     if (rate is None) == (counts is None):
         raise ValueError("give exactly one of rate= or counts=")
-    class_totals = np.bincount(ds.labels, minlength=ds.num_classes)
-    if counts is not None:
-        plan = PartitionPlan("table", num_nodes, counts=tuple(map(tuple, counts)))
-        check_fits(plan, class_totals)
-        return _assign_by_counts(ds, plan.counts)
-
-    check_fits(PartitionPlan("exponential", num_nodes, rate=rate), class_totals)
-    density = np.array([math.exp(-rate * v) for v in range(num_nodes)])
-    ccm = np.array([1.0 - math.exp(-rate * (v + 1)) for v in range(num_nodes)])
-    table = []
-    for shares, total in ((density, class_totals[0]), (ccm, class_totals[1])):
-        cumulative = np.cumsum(shares / shares.sum())
-        marks = [int(round(float(f) * int(total))) for f in cumulative]
-        table.append([marks[0]] + [marks[v] - marks[v - 1] for v in range(1, num_nodes)])
-    per_node = [[table[0][v], table[1][v]] for v in range(num_nodes)]
-    return _assign_by_counts(ds, per_node)
+    if counts is None:
+        return make_shards(ds, PartitionPlan("exponential", num_nodes, rate=rate))
+    return make_shards(ds, PartitionPlan("table", num_nodes, counts=tuple(map(tuple, counts))))
 
 
 def make_shards(ds: LabeledDataset, plan: PartitionPlan) -> list[DatasetShard]:
-    """Dispatch a partition plan onto a dataset."""
-    if plan.scheme == "contiguous":
-        return split_contiguous_labels(ds, plan.nodes)
-    if plan.scheme == "random_k":
-        rng = np.random.default_rng(plan.seed)
-        return split_random_k_labels(ds, plan.nodes, plan.k_min, plan.k_max, rng)
+    """Split ``ds`` as ``plan`` says; random_k draws from ``plan.seed``."""
+    return _split(ds, plan, np.random.default_rng(plan.seed))
+
+
+def _split(ds: LabeledDataset, plan: PartitionPlan, rng: np.random.Generator) -> list[DatasetShard]:
+    """Every scheme's split, after one ``check_fits``; only random_k uses ``rng``."""
+    classes = ds.num_classes
+    class_totals = np.bincount(ds.labels, minlength=classes)
+    check_fits(plan, class_totals)
     if plan.scheme == "exponential":
-        return split_exponential_binary(ds, plan.nodes, rate=plan.rate)
-    return split_exponential_binary(ds, plan.nodes, counts=plan.counts)
+        return _assign_by_counts(ds, _exponential_table(plan.rate, plan.nodes, class_totals))
+    if plan.scheme == "table":
+        return _assign_by_counts(ds, plan.counts)
+    if plan.scheme == "contiguous":
+        base, rem = divmod(classes, plan.nodes)
+        bounds = [0, *accumulate([base] * (plan.nodes - rem) + [base + 1] * rem)]
+        label_sets = [range(start, stop) for start, stop in pairwise(bounds)]
+    else:
+        for _ in range(MAX_COVERAGE_ATTEMPTS):
+            sizes = rng.integers(plan.k_min, plan.k_max + 1, size=plan.nodes)
+            label_sets = [set(rng.choice(classes, size=k, replace=False).tolist()) for k in sizes]
+            if set().union(*label_sets) == set(range(classes)):
+                break
+        else:
+            raise StateError(f"no full label coverage after {MAX_COVERAGE_ATTEMPTS} assignment draws")
+    return [make_shard(node_id, ds, np.flatnonzero(np.isin(ds.labels, sorted(labels))))
+            for node_id, labels in enumerate(label_sets)]
+
+
+def _exponential_table(rate: float, nodes: int, class_totals) -> list[tuple[int, int]]:
+    """Per-node (class 0, class 1) counts: exp(-rate*v) and 1 - exp(-rate*(v+1)),
+    each normalized over nodes and rounded cumulatively against its class total."""
+    density = np.array([math.exp(-rate * v) for v in range(nodes)])
+    ccm = np.array([1.0 - math.exp(-rate * (v + 1)) for v in range(nodes)])
+    columns = []
+    for shares, total in ((density, class_totals[0]), (ccm, class_totals[1])):
+        marks = [int(round(float(f) * int(total))) for f in np.cumsum(shares / shares.sum())]
+        columns.append([stop - start for start, stop in pairwise([0, *marks])])
+    return list(zip(*columns))
+
+
+def _assign_by_counts(ds: LabeledDataset, counts) -> list[DatasetShard]:
+    """Assign the first available samples of each class, in dataset order."""
+    by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
+    cursors = [0] * ds.num_classes
+    shards = []
+    for node_id, row in enumerate(counts):
+        picked = []
+        for c, n in enumerate(row):
+            picked.append(by_class[c][cursors[c] : cursors[c] + n])
+            cursors[c] += n
+        shards.append(make_shard(node_id, ds, np.sort(np.concatenate(picked))))
+    return shards
