@@ -209,6 +209,8 @@ def run_experiment(
     the module docstring)."""
     if cfg.run.target_accuracy is None:
         raise ConfigError("run.target_accuracy: required to measure transmissions-to-target")
+    if dump_model is not None and not cfg.policies:
+        raise ValueError("dump_model: no policy runs, so there is no final model to write")
     train, test = _build_datasets(cfg)
     shards = make_shards(train, cfg.partition)
     _check_shards_visitable(cfg, shards)

@@ -9,11 +9,17 @@ fields each scheme takes included) and against the training set's class
 totals in :func:`check_fits`. Its ``ValueError`` starts with the field it
 names, a ``[partition]`` config key, so ``config.check_data`` reports the
 same text for synthetic and CSV data, behind a ``partition.`` prefix.
+
+:func:`make_shards` is the one split path: it counts the class totals once,
+calls ``check_fits`` once, and runs the scheme, with random_k drawing from
+``plan.seed``. The ``split_*`` functions are shortcuts that build the plan;
+``split_random_k_labels`` draws from the caller's generator instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
@@ -64,6 +70,12 @@ class PartitionPlan:
                 raise ValueError(f"{name}: missing required key")
             if name not in needed and getattr(self, name) is not None:
                 raise ValueError(f"{name}: not valid for scheme={self.scheme}")
+        for name in ("nodes", "k_min", "k_max", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if self.counts is not None:
+            counts = tuple(tuple(operator.index(n) for n in row) for row in self.counts)
+            object.__setattr__(self, "counts", counts)
         if self.nodes < 1:
             raise ValueError(f"nodes: must be >= 1, got {self.nodes}")
         if self.seed < 0:
@@ -151,7 +163,7 @@ def split_exponential_binary(
         raise ValueError("give exactly one of rate= or counts=")
     if counts is None:
         return make_shards(ds, PartitionPlan("exponential", num_nodes, rate=rate))
-    return make_shards(ds, PartitionPlan("table", num_nodes, counts=tuple(map(tuple, counts))))
+    return make_shards(ds, PartitionPlan("table", num_nodes, counts=counts))
 
 
 def make_shards(ds: LabeledDataset, plan: PartitionPlan) -> list[DatasetShard]:

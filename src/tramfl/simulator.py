@@ -83,6 +83,8 @@ class RunConfig:
     count_exchanges_once: bool = False
 
     def __post_init__(self):
+        for name in ("batch_size", "interval", "max_iterations", "eval_every", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate}")
         for name in ("batch_size", "interval", "max_iterations", "eval_every"):

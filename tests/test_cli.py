@@ -379,6 +379,22 @@ def test_dump_path_that_is_a_directory_fails_before_training(smoke_config, tmp_p
     assert os.listdir(dump) == []
 
 
+def test_dump_path_without_policies_fails_before_the_data(smoke_config, tmp_path, monkeypatch):
+    """No policy leaves no model to dump; without a dump path the run still
+    publishes its empty summary."""
+    cfg = replace(parse_config(smoke_config), policies=())
+    built = []
+    build = cli._build_datasets
+    monkeypatch.setattr(cli, "_build_datasets", lambda cfg: built.append(cfg) or build(cfg))
+    out, dump = tmp_path / "out", tmp_path / "m.bin"
+    with pytest.raises(ValueError, match="^dump_model: no policy runs"):
+        run_experiment(cfg, out, dump_model=str(dump))
+    assert built == [] and not out.exists() and not dump.exists()
+    with redirect_stdout(io.StringIO()):
+        assert run_experiment(cfg, out) == 0
+    assert json.loads((out / "summary.json").read_text()) == {}
+
+
 def test_target_required_for_experiments(smoke_config, tmp_path):
     text = smoke_config.read_text().replace("target_accuracy = 0.9\n", "")
     smoke_config.write_text(text)

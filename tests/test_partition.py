@@ -1,5 +1,9 @@
+from itertools import pairwise
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tramfl import (
     StateError,
@@ -208,6 +212,49 @@ def test_exponential_assigns_in_dataset_order(review_shaped):
     assert np.array_equal(got_class0, first_class0)
 
 
+@st.composite
+def _plans(draw):
+    """A plan of 2-6 nodes, its matching ``split_*`` call, and a small dataset."""
+    scheme = draw(st.sampled_from(["contiguous", "random_k", "exponential", "table"]))
+    nodes, per_class = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    classes = 2 if scheme in ("exponential", "table") else draw(st.integers(2, 8))
+    if scheme == "contiguous":
+        classes = max(classes, nodes)
+        plan, split = PartitionPlan(scheme, nodes), lambda ds: split_contiguous_labels(ds, nodes)
+    elif scheme == "random_k":
+        k_max = draw(st.integers(-(-classes // nodes), classes))
+        k_min, seed = draw(st.integers(1, k_max)), draw(st.integers(0, 2**32))
+        plan = PartitionPlan(scheme, nodes, k_min=k_min, k_max=k_max, seed=seed)
+        split = lambda ds: split_random_k_labels(ds, nodes, k_min, k_max, np.random.default_rng(seed))
+    elif scheme == "exponential":
+        rate = draw(st.floats(0.01, 10.0))
+        plan, split = PartitionPlan(scheme, nodes, rate=rate), lambda ds: split_exponential_binary(ds, nodes, rate=rate)
+    else:  # each class's cut points rise to at most per_class, so the table fits
+        columns = [[b - a for a, b in pairwise([0, *sorted(draw(
+            st.lists(st.integers(0, per_class), min_size=nodes, max_size=nodes)))])] for _ in range(2)]
+        counts = [list(row) for row in zip(*columns)]
+        plan = PartitionPlan(scheme, nodes, counts=counts)
+        split = lambda ds: split_exponential_binary(ds, nodes, counts=counts)
+    return plan, split, generate_synthetic(classes, 2, per_class, 2.0, draw(st.integers(0, 3)))
+
+
+def _outcome(split, ds):
+    """Each shard's id, total and array bytes, or the error the split raised."""
+    try:
+        shards = split(ds)
+    except (StateError, ValueError) as exc:
+        return repr(exc)
+    return [(s.node_id, s.total, s.features.dtype, s.features.tobytes(), s.labels.dtype,
+             s.labels.tobytes(), s.hist.counts.dtype, s.hist.counts.tobytes()) for s in shards]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_plans())
+def test_make_shards_and_split_functions_give_the_same_shards(case):
+    plan, split, ds = case
+    assert _outcome(lambda ds: make_shards(ds, plan), ds) == _outcome(split, ds)
+
+
 def test_make_shards_dispatch(mnist_shaped):
     plan = PartitionPlan("contiguous", 3)
     assert [s.total for s in make_shards(mnist_shaped, plan)] == [18000, 18000, 24000]
@@ -294,3 +341,19 @@ def test_plan_names_the_field_at_fault(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: PartitionPlan("contiguous", n(3)),
+    lambda n: PartitionPlan("random_k", 3, k_min=n(1), k_max=2),
+    lambda n: PartitionPlan("random_k", 3, k_min=1, k_max=n(2)),
+    lambda n: PartitionPlan("contiguous", 3, seed=n(4)),
+    lambda n: PartitionPlan("table", 2, counts=((n(1), 2), (3, 4))),
+], ids=["nodes", "k_min", "k_max", "seed", "counts"])
+def test_plan_integers_are_not_truncated_floats(make):
+    """PartitionPlan("random_k", 3, k_min=1, k_max=2.5) used to split as if k_max were 2."""
+    with pytest.raises(TypeError):
+        make(lambda v: v + 0.5)
+    plan = make(np.int64)
+    fields = [plan.nodes, plan.k_min, plan.k_max, plan.seed] + [n for row in plan.counts or () for n in row]
+    assert all(type(v) is int for v in fields if v is not None)

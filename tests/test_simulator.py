@@ -117,6 +117,15 @@ def test_route_nodes_are_integers_not_truncated_floats():
     assert route == (1, 0) and all(type(i) is int for i in route)
 
 
+@pytest.mark.parametrize("name", ["batch_size", "interval", "max_iterations", "eval_every", "seed"])
+def test_run_counts_are_integers_not_truncated_floats(name):
+    """RunConfig(interval=1.5) used to run, sending on every third iteration."""
+    with pytest.raises(TypeError):
+        _cfg(**{name: 2.5})
+    value = getattr(_cfg(**{name: np.int64(3)}), name)
+    assert value == 3 and type(value) is int
+
+
 def test_transmissions_are_floor_k_over_t(small_task):
     train, test = small_task
     shards = split_contiguous_labels(train, 2)
