@@ -225,13 +225,15 @@ def _plans(draw):
         k_max = draw(st.integers(-(-classes // nodes), classes))
         k_min, seed = draw(st.integers(1, k_max)), draw(st.integers(0, 2**32))
         plan = PartitionPlan(scheme, nodes, k_min=k_min, k_max=k_max, seed=seed)
-        split = lambda ds: split_random_k_labels(ds, nodes, k_min, k_max, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        split = lambda ds: split_random_k_labels(ds, nodes, k_min, k_max, rng)
     elif scheme == "exponential":
         rate = draw(st.floats(0.01, 10.0))
-        plan, split = PartitionPlan(scheme, nodes, rate=rate), lambda ds: split_exponential_binary(ds, nodes, rate=rate)
-    else:  # each class's cut points rise to at most per_class, so the table fits
-        columns = [[b - a for a, b in pairwise([0, *sorted(draw(
-            st.lists(st.integers(0, per_class), min_size=nodes, max_size=nodes)))])] for _ in range(2)]
+        plan = PartitionPlan(scheme, nodes, rate=rate)
+        split = lambda ds: split_exponential_binary(ds, nodes, rate=rate)
+    else:  # each class's sorted cut points end at most at per_class, so the table fits
+        cuts = st.lists(st.integers(0, per_class), min_size=nodes, max_size=nodes).map(sorted)
+        columns = [[b - a for a, b in pairwise([0, *draw(cuts)])] for _ in range(2)]
         counts = [list(row) for row in zip(*columns)]
         plan = PartitionPlan(scheme, nodes, counts=counts)
         split = lambda ds: split_exponential_binary(ds, nodes, counts=counts)
@@ -355,5 +357,6 @@ def test_plan_integers_are_not_truncated_floats(make):
     with pytest.raises(TypeError):
         make(lambda v: v + 0.5)
     plan = make(np.int64)
-    fields = [plan.nodes, plan.k_min, plan.k_max, plan.seed] + [n for row in plan.counts or () for n in row]
+    fields = [plan.nodes, plan.k_min, plan.k_max, plan.seed]
+    fields += [n for row in plan.counts or () for n in row]
     assert all(type(v) is int for v in fields if v is not None)
