@@ -26,9 +26,9 @@ directory.
 
 Exit codes: 0 success (every number written is finite), 2 config error (an
 unreadable dataset CSV included, a CSV feature of magnitude above
-``FEATURE_LIMIT``, or an empty shard under a policy that visits every node),
-3 runtime/simulation error or a diverged trial (after all outputs are
-written).
+``FEATURE_LIMIT``, a random_k partition whose draws never cover every class,
+or an empty shard under a policy that visits every node), 3 runtime/simulation
+error or a diverged trial (after all outputs are written).
 """
 
 from __future__ import annotations
@@ -212,7 +212,11 @@ def run_experiment(
     if dump_model is not None and not cfg.policies:
         raise ValueError("dump_model: no policy runs, so there is no final model to write")
     train, test = _build_datasets(cfg)
-    shards = make_shards(train, cfg.partition)
+    try:
+        shards = make_shards(train, cfg.partition)
+    except StateError as exc:  # only random_k's coverage draws raise it
+        raise ConfigError(f"partition.k_max: {exc} at partition.seed = {cfg.partition.seed}; "
+                          f"raise k_max or try another seed") from None
     _check_shards_visitable(cfg, shards)
     os.makedirs(out_dir, exist_ok=True)
     staging, dump_staging = _staging_dir(out_dir), None

@@ -68,6 +68,8 @@ def check_synthetic(classes, dims, per_class, test_per_class, separation) -> Non
             raise ValueError(f"{name}: must be >= {least}, got {value}")
     if not separation > 0:
         raise ValueError(f"separation: must be > 0, got {separation}")
+    if separation == math.inf:
+        raise ValueError(f"separation: must be finite, got {separation}")
 
 
 def generate_synthetic(

@@ -84,6 +84,8 @@ class PartitionPlan:
             raise ValueError(f"k_min: need 1 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.scheme == "exponential" and not self.rate > 0:
             raise ValueError(f"rate: must be > 0, got {self.rate}")
+        if self.scheme == "exponential" and self.rate == math.inf:
+            raise ValueError(f"rate: must be finite, got {self.rate}")
         if self.scheme == "table":
             if len(self.counts) != self.nodes:
                 raise ValueError(f"counts: {len(self.counts)} rows for {self.nodes} nodes")

@@ -87,6 +87,8 @@ class RunConfig:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate: must be > 0, got {self.learning_rate}")
+        if self.learning_rate == math.inf:
+            raise ValueError(f"learning_rate: must be finite, got {self.learning_rate}")
         for name in ("batch_size", "interval", "max_iterations", "eval_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
@@ -198,10 +200,17 @@ class _EvalTrace:
         return TrialResult(self.records, self.reached, params_digest(params), params, status, ledger)
 
 
-def _sorted_shards(shards, kind: str) -> list:
-    """The shards in node-id order, which must be 0..V-1. Every policy kind
-    but dynamic visits each node, so under it an empty shard is a
-    StateError before the trial starts."""
+def _start_trial(shards, test_set, cfg: RunConfig, kind: str):
+    """Check a trial's inputs and build what both loops start from: the
+    shards in node-id order, ``np.random.default_rng(cfg.seed)``, the
+    training workspace and the evaluation trace.
+
+    Node ids must be 0..V-1. Every policy kind but dynamic visits each node,
+    so under it an empty shard is a StateError. Shards or a test set with
+    more classes than ``cfg.arch`` has outputs are a ValueError: the learner
+    indexes each label's logit by its flat offset and, with a workspace,
+    checks no labels, so a label past the width would read and write the
+    next row's entries."""
     shards = sorted(shards, key=lambda s: s.node_id)
     if [s.node_id for s in shards] != list(range(len(shards))):
         raise ValueError("shards must carry node ids 0..V-1")
@@ -209,20 +218,14 @@ def _sorted_shards(shards, kind: str) -> list:
         for shard in shards:
             if shard.total == 0:
                 raise StateError(f"shard {shard.node_id} is empty")
-    return shards
-
-
-def _check_classes(shards, test_set, arch: ArchSpec) -> None:
-    """Raise ValueError when the shards or the test set have more classes
-    than ``arch`` has outputs. The learner indexes each label's logit by its
-    flat offset and, with a workspace, checks no labels, so a label past the
-    width would read and write the next row's entries."""
-    width = arch.layer_sizes[-1]
+    width = cfg.arch.layer_sizes[-1]
     counts = (("shards have", max((len(s.hist.counts) for s in shards), default=0)),
               ("test set has", test_set.num_classes))
     for what, classes in counts:
         if classes > width:
             raise ValueError(f"{what} {classes} classes, but the output layer has {width}")
+    return (shards, np.random.default_rng(cfg.seed), _Workspace(cfg.arch, cfg.batch_size),
+            _EvalTrace(test_set, cfg))
 
 
 def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
@@ -234,35 +237,29 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
     transmission and at termination; stops early once `target_accuracy` is
     reached at one of the every-`eval_every` evaluations (a hit at the
     terminal one is not counted). The one model is trained in place, in a
-    workspace built for the trial; the trace evaluates in its own. Shards or
-    a test set with more classes than ``cfg.arch`` has outputs are a
-    ValueError before the first step.
+    workspace built for the trial; the trace evaluates in its own. The
+    checks of :func:`_start_trial` run before the first step; a trial with
+    no nonempty shard, under any policy, is a StateError.
     """
     policy = cfg.policy
     if policy is None:
         raise ValueError("cfg.policy is not set")
     if policy.kind == "gossip":
         raise ValueError("gossip runs through run_gossip, not run_tram_fl")
-    shards = _sorted_shards(shards, policy.kind)
-    _check_classes(shards, test_set, cfg.arch)
+    shards, rng, workspace, trace = _start_trial(shards, test_set, cfg, policy.kind)
     num_nodes = len(shards)
-    nonempty = [s.node_id for s in shards if s.total > 0]
-    if not nonempty:
-        raise StateError("all shards are empty")
+    starts = range(num_nodes)
+    if policy.kind == "dynamic":
+        shards = RouteTable(shards, cfg.batch_size * cfg.interval)
+        starts = shards.node_ids
+    elif not starts:
+        raise StateError("no nonempty shard to route to")
     if policy.kind == "static" and sorted(policy.route) != list(range(num_nodes)):
         raise ValueError(f"route {policy.route} is not a permutation of 0..{num_nodes - 1}")
 
-    rng = np.random.default_rng(cfg.seed)
     params = init_he(cfg.arch, cfg.seed)
-    holder = int(nonempty[rng.integers(len(nonempty))])
-    num_classes = shards[0].hist.counts.shape[0]
-    state = RoutingState(LabelHistogram(np.zeros(num_classes)), holder=holder)
-    volume = cfg.batch_size * cfg.interval
-    if policy.kind == "dynamic":
-        shards = RouteTable(shards, volume)
-
-    workspace = _Workspace(cfg.arch, cfg.batch_size)
-    trace = _EvalTrace(test_set, cfg)
+    holder = int(starts[rng.integers(len(starts))])
+    state = RoutingState(LabelHistogram(np.zeros_like(shards[0].hist.counts)), holder=holder)
     transmissions = 0
     for iteration in range(1, cfg.max_iterations + 1):
         shard = shards[holder]
@@ -273,7 +270,7 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
         state = update_ledger(state, counts)
         if iteration % cfg.interval == 0:
             if policy.kind == "dynamic":
-                holder = select_next_dynamic(state, shards, volume)
+                holder = select_next_dynamic(state, shards, shards.volume)
             elif policy.kind == "static":
                 holder = next_static(policy.route, holder)
             else:
@@ -294,27 +291,22 @@ def run_gossip(shards, test_set, cfg: RunConfig) -> TrialResult:
     SGD step on a local minibatch, then the unweighted average of the rows
     is written back into every row with one broadcast. The evaluated and
     returned model is that round average, a separate ModelParams; its
-    holder is recorded as -1. Training and evaluation each keep their own
-    workspace, and checks class counts, as in :func:`run_tram_fl`.
+    holder is recorded as -1. The set-up, its checks included, is
+    :func:`run_tram_fl`'s, and gossip needs at least 2 nodes.
     ``cfg.policy`` may be unset; set, it must be gossip.
     """
     if cfg.policy is not None and cfg.policy.kind != "gossip":
         raise ValueError(f"run_gossip runs gossip, not {cfg.policy.kind}")
-    shards = _sorted_shards(shards, "gossip")
-    _check_classes(shards, test_set, cfg.arch)
+    shards, rng, workspace, trace = _start_trial(shards, test_set, cfg, "gossip")
     num_nodes = len(shards)
     if num_nodes < 2:
         raise ValueError(f"gossip needs at least 2 nodes, got {num_nodes}")
 
-    rng = np.random.default_rng(cfg.seed)
     matrix = np.tile(init_he(cfg.arch, cfg.seed).values, (num_nodes, 1))
     models = [ModelParams(cfg.arch, row) for row in matrix]
     per_round = num_nodes * (num_nodes - 1)
     if cfg.count_exchanges_once:
         per_round //= 2
-
-    workspace = _Workspace(cfg.arch, cfg.batch_size)
-    trace = _EvalTrace(test_set, cfg)
     transmissions = 0
     for round_num in range(1, cfg.max_iterations + 1):
         for i, shard in enumerate(shards):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tramfl import ConfigError, cli, enumerate_static_routes, parse_config, parse_config_text
+from tramfl import ConfigError, cli, enumerate_static_routes, parse_config, parse_config_text, partition
 from tramfl.cli import main, run_experiment
 from tramfl.errors import StateError
 from tramfl.learner import ArchSpec, ModelParams
@@ -628,6 +628,21 @@ def test_empty_shard_under_visiting_policy_is_config_error(
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err and label in err
+    assert not out.exists()
+
+
+def test_random_k_coverage_failure_is_config_error(tmp_path, capsys, monkeypatch):
+    """This used to exit 3 with "error: no full label coverage ..."."""
+    monkeypatch.setattr(partition, "MAX_COVERAGE_ATTEMPTS", 1)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_TWO_CLASS_SYNTHETIC.format(  # seed 0 draws label 1 for both nodes
+        per_class=5, partition="scheme = random_k\nnodes = 2\nk_min = 1\nk_max = 1\nseed = 0",
+        policies="p = dynamic"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: partition.k_max: no full label coverage after 1 ")
+    assert "partition.seed = 0" in err
     assert not out.exists()
 
 

@@ -175,9 +175,13 @@ def _load_bytes(tmp_path, data):
     # an empty half would fail only at its first use
     (lambda tmp: generate_synthetic_split(2, 2, 0, 5, 1.0, 0), ValueError, "per_class: must be >= 1, got 0"),
     (lambda tmp: generate_synthetic_split(2, 2, 5, 0, 1.0, 0), ValueError, "test_per_class: must be >= 1, got 0"),
+    # an infinite separation used to give features that are not finite
+    (lambda tmp: generate_synthetic(2, 2, 5, float("inf"), 0), ValueError,
+     "separation: must be finite, got inf"),
 ], ids=["shape_mismatch", "label_above_range", "negative_label", "one_field_after_blank_line",
         "non_finite_feature", "underscore_label", "underscore_feature", "arabic_indic_label",
-        "arabic_indic_feature", "plus_label", "plus_feature", "not_utf8", "no_train_rows", "no_test_rows"])
+        "arabic_indic_feature", "plus_label", "plus_feature", "not_utf8", "no_train_rows", "no_test_rows",
+        "separation_inf"])
 def test_dataset_checks(tmp_path, make, error, fragment):
     with pytest.raises(error) as info:
         make(tmp_path)

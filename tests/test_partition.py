@@ -107,7 +107,10 @@ def test_random_k_coverage_unattainable():
     (lambda ds: split_exponential_binary(ds, 2, counts=[[1, 1], [1]]),
      ValueError, "two nonnegative ints"),
     (lambda ds: split_exponential_binary(ds, 2, rate=0.0), ValueError, "rate: must be > 0"),
-], ids=["contiguous_nodes", "coverage_cap", "counts_rows", "counts_row_shape", "rate"])
+    # an infinite rate used to fail in the split with "cannot convert float NaN to integer"
+    (lambda ds: make_shards(ds, PartitionPlan("exponential", 3, rate=float("inf"))),
+     ValueError, "rate: must be finite, got inf"),
+], ids=["contiguous_nodes", "coverage_cap", "counts_rows", "counts_row_shape", "rate", "rate_inf"])
 def test_partition_checks(monkeypatch, make, error, fragment):
     # Two nodes of one label each cover both classes with odds 1/2 per draw;
     # seed 0's first draw gives both nodes label 1.

@@ -86,6 +86,8 @@ def test_types_holding_arrays_compare_by_identity(make):
     (lambda shards, test: PolicySpec("dynamic", route=(0, 1)), "others must not carry one"),
     (lambda shards, test: PolicySpec("static"), "static policies need a route"),
     (lambda shards, test: _cfg(learning_rate=0.0), "learning_rate: must be > 0"),
+    # an infinite rate used to run a trial that diverged
+    (lambda shards, test: _cfg(learning_rate=float("inf")), "learning_rate: must be finite, got inf"),
     (lambda shards, test: _cfg(batch_size=0), "must be >= 1"),
     (lambda shards, test: _cfg(interval=0), "must be >= 1"),
     (lambda shards, test: _cfg(max_iterations=0), "must be >= 1"),
@@ -99,7 +101,7 @@ def test_types_holding_arrays_compare_by_identity(make):
      "cfg.policy is not set"),
     (lambda shards, test: run_trials(shards, test, _cfg(target_accuracy=0.5), num_trials=0),
      "num_trials must be >= 1"),
-], ids=["unknown_kind", "route_on_dynamic", "static_without_route", "learning_rate",
+], ids=["unknown_kind", "route_on_dynamic", "static_without_route", "learning_rate", "learning_rate_inf",
         "batch_size", "interval", "max_iterations", "eval_every", "target_zero",
         "target_above_one", "iterations_below_interval", "tram_fl_no_policy", "trials_no_policy", "zero_trials"])
 def test_simulator_checks(small_task, make, fragment):
@@ -313,11 +315,15 @@ def test_early_stop_records_target(small_task):
     assert result.records[-1].test_accuracy >= 0.5
 
 
-def test_no_nonempty_shard_is_state_error(small_task):
+@pytest.mark.parametrize("kind", ["dynamic", "random", "static"])
+@pytest.mark.parametrize("num_shards", [2, 0], ids=["two_empty", "none"])
+def test_no_nonempty_shard_is_state_error(small_task, monkeypatch, kind, num_shards):
     _, test = small_task
-    shards = [make_shard(0, test, []), make_shard(1, test, [])]
+    shards = [make_shard(i, test, []) for i in range(num_shards)]
+    policy = PolicySpec(kind, (0, 1) if kind == "static" else None)
+    monkeypatch.setattr(simulator, "draw_minibatch", lambda *args: pytest.fail("a step ran"))
     with pytest.raises(StateError):
-        run_tram_fl(shards, test, _cfg())
+        run_tram_fl(shards, test, _cfg(policy=policy))
 
 
 def test_gossip_policy_rejected_by_tram(small_task):
