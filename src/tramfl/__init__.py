@@ -29,7 +29,6 @@ from .learner import (
 from .partition import (
     DatasetShard,
     PartitionPlan,
-    make_shard,
     make_shards,
     split_contiguous_labels,
     split_exponential_binary,

@@ -1,5 +1,6 @@
 """Labeled datasets: synthetic Gaussian-blob generation, CSV I/O, label
-histograms, and minibatch sampling.
+histograms, and minibatch sampling. A ``LabeledDataset`` takes its rows,
+their labels and the class count; ``dims`` is read off the features.
 
 All randomness flows through explicit seeds or ``numpy.random.Generator``
 streams, so every operation here is a pure function of its arguments.
@@ -22,24 +23,25 @@ class LabeledDataset:
 
     ``features`` is an ``(n, dims)`` float64 array and ``labels`` the
     matching ``(n,)`` int64 array of classes ``0..num_classes-1``; row
-    ``i`` is one sample.
+    ``i`` is one sample. ``dims`` is read off the features.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    dims: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.ndim != 1 or self.features.shape != (len(self.labels), self.dims):
-            raise ValueError(
-                f"need features of shape (n, {self.dims}) and labels of shape (n,), "
-                f"got {self.features.shape} and {self.labels.shape}"
-            )
+        if self.features.ndim != 2 or self.labels.ndim != 1 or len(self.features) != len(self.labels):
+            raise ValueError(f"need features of shape (n, dims) and labels of shape (n,), "
+                             f"got {self.features.shape} and {self.labels.shape}")
         if len(self.labels) and not 0 <= self.labels.min() <= self.labels.max() < self.num_classes:
             raise ValueError(f"labels must lie in 0..{self.num_classes - 1}")
+
+    @property
+    def dims(self) -> int:
+        return self.features.shape[1]
 
     def __len__(self):
         return len(self.labels)
@@ -94,7 +96,7 @@ def generate_synthetic(
 
     features = [means[c] + rng.standard_normal((per_class, dims)) for c in range(num_classes)]
     labels = np.repeat(np.arange(num_classes), per_class)
-    return LabeledDataset(np.concatenate(features), labels, num_classes, dims)
+    return LabeledDataset(np.concatenate(features), labels, num_classes)
 
 
 def generate_synthetic_split(
@@ -119,9 +121,9 @@ def generate_synthetic_split(
     classes = np.arange(num_classes)
     return (
         LabeledDataset(by_class[:, :train_per_class].reshape(-1, dims),
-                       np.repeat(classes, train_per_class), num_classes, dims),
+                       np.repeat(classes, train_per_class), num_classes),
         LabeledDataset(by_class[:, train_per_class:].reshape(-1, dims),
-                       np.repeat(classes, test_per_class), num_classes, dims),
+                       np.repeat(classes, test_per_class), num_classes),
     )
 
 
@@ -190,7 +192,7 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
             max_label = max(max_label, label)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return LabeledDataset(np.array(rows), np.array(labels), max_label + 1, dims)
+    return LabeledDataset(np.array(rows), np.array(labels), max_label + 1)
 
 
 def save_csv(ds: LabeledDataset, path, header: bool = False) -> None:
@@ -211,14 +213,14 @@ def draw_minibatch(shard, batch_size: int, rng: np.random.Generator):
 
     Returns ``(idx, counts)``: the batch is ``shard.features[idx]`` with
     labels ``shard.labels[idx]``. ``counts`` is the int array of the batch's
-    label counts, one entry per class of the shard (``len(shard.hist.counts)``),
+    label counts, one entry per class of the shard (``shard.num_classes``),
     and sums to ``batch_size``.
     """
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ValueError(f"batch_size: must be >= 1, got {batch_size}")
     population = len(shard.labels)
     if population == 0:
         raise StateError("cannot draw a minibatch from an empty shard")
     replace = population < batch_size
     idx = rng.choice(population, size=batch_size, replace=replace)
-    return idx, np.bincount(shard.labels[idx], minlength=len(shard.hist.counts))
+    return idx, np.bincount(shard.labels[idx], minlength=shard.num_classes)

@@ -49,6 +49,7 @@ None, for callers that only step. ``sgd_step`` always updates
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -243,7 +244,9 @@ def sgd_step(params: ModelParams, grad: np.ndarray, eta: float) -> ModelParams:
     if grad.shape != params.values.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match {params.values.shape}")
     if not eta > 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+        raise ValueError(f"eta: must be > 0, got {eta}")
+    if eta == math.inf:
+        raise ValueError(f"eta: must be finite, got {eta}")
     np.subtract(params.values, eta * grad, out=params.values)
     return params
 
@@ -275,7 +278,7 @@ def finite_diff_check(params: ModelParams, features, labels, eps: float) -> floa
     parameters.
     """
     if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+        raise ValueError(f"eps: must be > 0, got {eps}")
     _, grad = loss_and_grad(params, features, labels)
     base = params.values
     bumped = ModelParams(params.arch, base.copy())

@@ -2,7 +2,9 @@
 
 Three schemes: contiguous label groups (disjoint), random label subsets per
 node (overlapping, coverage-enforced), and a two-class exponential skew with
-either an analytic rate or an explicit per-node count table.
+either an analytic rate or an explicit per-node count table. Each node's
+rows become a :class:`DatasetShard`, which counts its label histogram and
+total from those rows, so no shard carries counts its rows do not hold.
 
 Each split rule is stated once, on the plan alone in ``PartitionPlan`` (which
 fields each scheme takes included) and against the training set's class
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -33,15 +35,21 @@ MAX_COVERAGE_ATTEMPTS = 10_000
 
 
 @dataclass(eq=False)
-class DatasetShard:
-    """One node's local rows (``features`` (n, dims), ``labels`` (n,)) plus
-    their label histogram and row count."""
+class DatasetShard(LabeledDataset):
+    """One node's rows, checked as a :class:`LabeledDataset`. ``hist``, the
+    label histogram the router reads, is counted from the labels once, at
+    construction; ``total`` is the row count."""
 
-    node_id: int
-    features: np.ndarray
-    labels: np.ndarray
-    hist: LabelHistogram
-    total: int
+    node_id: int = field(kw_only=True)
+    hist: LabelHistogram = field(init=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.hist = LabelHistogram(np.bincount(self.labels, minlength=self.num_classes))
+
+    @property
+    def total(self) -> int:
+        return len(self.labels)
 
 
 # The fields each scheme needs besides ``nodes``; no other scheme takes them.
@@ -115,15 +123,6 @@ def check_fits(plan: PartitionPlan, class_totals) -> None:
                                  f"the training set holds {held}")
 
 
-def make_shard(node_id: int, ds: LabeledDataset, rows) -> DatasetShard:
-    """Gather ``ds``'s rows (in the given order) into a shard with a
-    consistent histogram and total."""
-    rows = np.asarray(rows, dtype=np.intp)
-    labels = ds.labels[rows]
-    hist = LabelHistogram(np.bincount(labels, minlength=ds.num_classes))
-    return DatasetShard(node_id, ds.features[rows], labels, hist, len(rows))
-
-
 def split_contiguous_labels(ds: LabeledDataset, num_nodes: int) -> list[DatasetShard]:
     """Partition labels into contiguous groups of near-equal size.
 
@@ -194,8 +193,8 @@ def _split(ds: LabeledDataset, plan: PartitionPlan, rng: np.random.Generator) ->
                 break
         else:
             raise StateError(f"no full label coverage after {MAX_COVERAGE_ATTEMPTS} assignment draws")
-    return [make_shard(node_id, ds, np.flatnonzero(np.isin(ds.labels, sorted(labels))))
-            for node_id, labels in enumerate(label_sets)]
+    rows = [np.flatnonzero(np.isin(ds.labels, sorted(labels))) for labels in label_sets]
+    return [DatasetShard(ds.features[r], ds.labels[r], classes, node_id=v) for v, r in enumerate(rows)]
 
 
 def _exponential_table(rate: float, nodes: int, class_totals) -> list[tuple[int, int]]:
@@ -212,13 +211,9 @@ def _exponential_table(rate: float, nodes: int, class_totals) -> list[tuple[int,
 
 def _assign_by_counts(ds: LabeledDataset, counts) -> list[DatasetShard]:
     """Assign the first available samples of each class, in dataset order."""
-    by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
-    cursors = [0] * ds.num_classes
-    shards = []
-    for node_id, row in enumerate(counts):
-        picked = []
-        for c, n in enumerate(row):
-            picked.append(by_class[c][cursors[c] : cursors[c] + n])
-            cursors[c] += n
-        shards.append(make_shard(node_id, ds, np.sort(np.concatenate(picked))))
-    return shards
+    classes = ds.num_classes
+    by_class = [np.flatnonzero(ds.labels == c) for c in range(classes)]
+    marks = np.cumsum([[0] * classes, *counts], axis=0)
+    rows = [np.sort(np.concatenate([held[a:b] for held, a, b in zip(by_class, start, stop)]))
+            for start, stop in pairwise(marks)]
+    return [DatasetShard(ds.features[r], ds.labels[r], classes, node_id=v) for v, r in enumerate(rows)]

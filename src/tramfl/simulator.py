@@ -219,7 +219,7 @@ def _start_trial(shards, test_set, cfg: RunConfig, kind: str):
             if shard.total == 0:
                 raise StateError(f"shard {shard.node_id} is empty")
     width = cfg.arch.layer_sizes[-1]
-    counts = (("shards have", max((len(s.hist.counts) for s in shards), default=0)),
+    counts = (("shards have", max((s.num_classes for s in shards), default=0)),
               ("test set has", test_set.num_classes))
     for what, classes in counts:
         if classes > width:
@@ -259,7 +259,7 @@ def run_tram_fl(shards, test_set, cfg: RunConfig) -> TrialResult:
 
     params = init_he(cfg.arch, cfg.seed)
     holder = int(starts[rng.integers(len(starts))])
-    state = RoutingState(LabelHistogram(np.zeros_like(shards[0].hist.counts)), holder=holder)
+    state = RoutingState(LabelHistogram(np.zeros(shards[0].num_classes)), holder=holder)
     transmissions = 0
     for iteration in range(1, cfg.max_iterations + 1):
         shard = shards[holder]
@@ -343,7 +343,7 @@ def run_trials(shards, test_set, cfg: RunConfig, num_trials: int = 1) -> TrialsS
     in n_trials - n_reached.
     """
     if num_trials < 1:
-        raise ValueError(f"num_trials must be >= 1, got {num_trials}")
+        raise ValueError(f"num_trials: must be >= 1, got {num_trials}")
     if cfg.policy is None:
         raise ValueError("cfg.policy is not set")
     if cfg.target_accuracy is None:

@@ -62,9 +62,8 @@ def target_accuracy(task):
 
 
 def _fake_shard(node_id, counts):
-    counts = np.asarray(counts, dtype=float)
-    return DatasetShard(node_id, np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
-                        LabelHistogram(counts), int(counts.sum()))
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return DatasetShard(np.zeros((len(labels), 0)), labels, len(counts), node_id=node_id)
 
 
 def _naive_next_node(ledger, rows, batch_size, interval):
@@ -105,8 +104,8 @@ def test_criterion_1_routing_rule_oracle_equivalence():
 def test_criterion_2_uniform_ledger_realization():
     # two nodes holding one distinct label each, one sample per batch and visit
     shards = [
-        DatasetShard(0, np.zeros((8, 2)), np.full(8, 0), LabelHistogram([8, 0]), 8),
-        DatasetShard(1, np.zeros((8, 2)), np.full(8, 1), LabelHistogram([0, 8]), 8),
+        DatasetShard(np.zeros((8, 2)), np.full(8, 0), 2, node_id=0),
+        DatasetShard(np.zeros((8, 2)), np.full(8, 1), 2, node_id=1),
     ]
     cfg = 1
 

@@ -20,7 +20,7 @@ from tramfl import (
     sgd_step,
     evaluate,
 )
-from tramfl.partition import make_shard, split_contiguous_labels
+from tramfl.partition import DatasetShard, split_contiguous_labels
 
 
 def _assert_same_dataset(a, b):
@@ -152,10 +152,15 @@ def _load_bytes(tmp_path, data):
 
 
 @pytest.mark.parametrize("make, error, fragment", [
-    (lambda tmp: LabeledDataset(np.zeros((3, 2)), [0, 1], 2, 2), ValueError, "shape (n, 2)"),
-    (lambda tmp: LabeledDataset(np.zeros((2, 2)), [5, 0], 3, 2), ValueError, "0..2"),
+    (lambda tmp: LabeledDataset(np.zeros((3, 2)), [0, 1], 2), ValueError, "got (3, 2) and (2,)"),
+    (lambda tmp: LabeledDataset(np.zeros(2), [0, 1], 2), ValueError, "got (2,) and (2,)"),
+    (lambda tmp: LabeledDataset(np.zeros((2, 2)), [5, 0], 3), ValueError, "0..2"),
     # a negative label would be scored and trained as the last class
-    (lambda tmp: LabeledDataset(np.zeros((2, 2)), [-1, 0], 3, 2), ValueError, "0..2"),
+    (lambda tmp: LabeledDataset(np.zeros((2, 2)), [-1, 0], 3), ValueError, "0..2"),
+    # a shard's histogram is counted from its rows, so rows it does not hold
+    # and labels past its classes are refused rather than routed on
+    (lambda tmp: DatasetShard(np.zeros((3, 2)), [0, 1], 2, node_id=0), ValueError, "got (3, 2) and (2,)"),
+    (lambda tmp: DatasetShard(np.zeros((2, 2)), [2, 0], 2, node_id=0), ValueError, "0..1"),
     # the blank line 2 is skipped but still counted
     (lambda tmp: _load_text(tmp, "0,1.0\n\n1\n"), ParseError, "line 3: expected 'label,f1"),
     (lambda tmp: _load_text(tmp, "0,1.0\n1,inf\n"), ParseError, "line 2: non-finite"),
@@ -178,7 +183,8 @@ def _load_bytes(tmp_path, data):
     # an infinite separation used to give features that are not finite
     (lambda tmp: generate_synthetic(2, 2, 5, float("inf"), 0), ValueError,
      "separation: must be finite, got inf"),
-], ids=["shape_mismatch", "label_above_range", "negative_label", "one_field_after_blank_line",
+], ids=["shape_mismatch", "features_not_2d", "label_above_range", "negative_label",
+        "shard_shape_mismatch", "shard_label_at_num_classes", "one_field_after_blank_line",
         "non_finite_feature", "underscore_label", "underscore_feature", "arabic_indic_label",
         "arabic_indic_feature", "plus_label", "plus_feature", "not_utf8", "no_train_rows", "no_test_rows",
         "separation_inf"])
@@ -189,13 +195,15 @@ def test_dataset_checks(tmp_path, make, error, fragment):
 
 
 def test_histogram_direct_count():
-    ds = LabeledDataset(np.zeros((4, 1)), [0, 0, 1, 2], 3, 1)
-    assert make_shard(0, ds, np.arange(4)).hist.counts.tolist() == [2.0, 1.0, 1.0]
+    shard = DatasetShard(np.zeros((4, 1)), [0, 0, 1, 2], 3, node_id=0)
+    assert shard.hist.counts.tolist() == [2.0, 1.0, 1.0]
+    assert shard.total == 4
 
 
 def test_histogram_empty_dataset():
-    ds = LabeledDataset(np.zeros((0, 1)), [], 3, 1)
-    assert make_shard(0, ds, []).hist.counts.tolist() == [0.0, 0.0, 0.0]
+    shard = DatasetShard(np.zeros((0, 1)), [], 3, node_id=0)
+    assert shard.hist.counts.tolist() == [0.0, 0.0, 0.0]
+    assert shard.total == 0
 
 
 def test_histogram_benchmark_scale_shard(mnist_shaped):
@@ -205,13 +213,12 @@ def test_histogram_benchmark_scale_shard(mnist_shaped):
 
 @given(st.lists(st.integers(min_value=0, max_value=4), max_size=60))
 def test_histogram_sums_to_sample_count(labels):
-    ds = LabeledDataset(np.zeros((len(labels), 1)), labels, 5, 1)
-    assert make_shard(0, ds, np.arange(len(labels))).hist.counts.sum() == len(labels)
+    shard = DatasetShard(np.zeros((len(labels), 1)), labels, 5, node_id=0)
+    assert shard.hist.counts.sum() == shard.total == len(labels)
 
 
 def _single_label_shard(label, num_classes, count):
-    ds = LabeledDataset(np.zeros((count, 2)), np.full(count, label), num_classes, 2)
-    return make_shard(0, ds, np.arange(count))
+    return DatasetShard(np.zeros((count, 2)), np.full(count, label), num_classes, node_id=0)
 
 
 def test_minibatch_single_label_counts():
@@ -241,14 +248,14 @@ def test_minibatch_small_shard_falls_back_to_replacement():
 
 
 def test_minibatch_empty_shard_error():
-    shard = make_shard(0, LabeledDataset(np.zeros((0, 2)), [], 2, 2), [])
+    shard = DatasetShard(np.zeros((0, 2)), [], 2, node_id=0)
     with pytest.raises(StateError):
         draw_minibatch(shard, 1, np.random.default_rng(0))
 
 
 def test_minibatch_rejects_zero_batch():
     shard = _single_label_shard(0, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="batch_size: must be >= 1, got 0"):
         draw_minibatch(shard, 0, np.random.default_rng(0))
 
 
@@ -271,8 +278,7 @@ def test_minibatch_deterministic_given_state():
 
 def test_minibatch_label_mean_converges():
     # balanced two-label shard: expected count per label is B * L_j / N_j = 5
-    ds = LabeledDataset(np.zeros((100, 1)), [0] * 50 + [1] * 50, 2, 1)
-    shard = make_shard(0, ds, np.arange(100))
+    shard = DatasetShard(np.zeros((100, 1)), [0] * 50 + [1] * 50, 2, node_id=0)
     rng = np.random.default_rng(11)
     draws = 10_000
     totals = np.zeros(2)

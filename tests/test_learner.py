@@ -117,7 +117,7 @@ def test_linear_model_finite_diff_is_tight():
 
 def test_finite_diff_rejects_zero_eps():
     params = _zero_params(ArchSpec((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps: must be > 0, got 0.0"):
         finite_diff_check(params, np.ones((1, 2)), np.array([0]), 0.0)
 
 
@@ -163,8 +163,10 @@ def test_sgd_updates_in_place():
 
 @pytest.mark.parametrize("make, fragment", [
     (lambda: ModelParams(ArchSpec((3, 2)), np.zeros(7)), "expected 8 parameters"),
-    (lambda: sgd_step(_zero_params(ArchSpec((3, 2))), np.zeros(8), 0.0), "eta must be > 0"),
-], ids=["params_length", "eta"])
+    (lambda: sgd_step(_zero_params(ArchSpec((3, 2))), np.zeros(8), 0.0), "eta: must be > 0, got 0.0"),
+    # an infinite step used to write -inf into every parameter
+    (lambda: sgd_step(_zero_params(ArchSpec((3, 2))), np.zeros(8), float("inf")), "eta: must be finite, got inf"),
+], ids=["params_length", "eta", "eta_inf"])
 def test_learner_checks(make, fragment):
     with pytest.raises(ValueError, match=fragment):
         make()
@@ -217,7 +219,7 @@ def test_workspace_rejects_another_row_count():
     features, labels = _random_batch(rng, 4, 3, 7)
     with pytest.raises(ValueError, match="5 rows, batch has 7"):
         loss_and_grad(params, features, labels, workspace=workspace)
-    ds = LabeledDataset(features, labels, 3, 4)
+    ds = LabeledDataset(features, labels, 3)
     with pytest.raises(ValueError, match="5 rows, batch has 7"):
         evaluate(params, ds, workspace=workspace)
 
@@ -242,7 +244,7 @@ def test_sgd_decreases_loss_with_small_enough_eta():
 def _balanced_dataset(rng, num_classes, per_class, dims):
     features = [rng.standard_normal(dims) for _ in range(num_classes * per_class)]
     labels = np.repeat(np.arange(num_classes), per_class)
-    return LabeledDataset(np.stack(features), labels, num_classes, dims)
+    return LabeledDataset(np.stack(features), labels, num_classes)
 
 
 def test_evaluate_zero_params_balanced():
@@ -258,7 +260,7 @@ def test_evaluate_perfect_separation():
     values = np.zeros(arch.num_params())
     values[:4] = np.array([[10.0, -10.0], [-10.0, 10.0]]).ravel()
     params = ModelParams(arch, values)
-    accuracy, _ = evaluate(params, LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1], 2, 2))
+    accuracy, _ = evaluate(params, LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1], 2))
     assert accuracy == 1.0
 
 
@@ -269,7 +271,7 @@ def test_forward_large_logits_stable():
     values = np.zeros(arch.num_params())
     values[:4] = np.eye(2).ravel() * 500.0
     params = ModelParams(arch, values)
-    accuracy, loss = evaluate(params, LabeledDataset(np.array([[2.0, 0.0]]), [0], 2, 2))
+    accuracy, loss = evaluate(params, LabeledDataset(np.array([[2.0, 0.0]]), [0], 2))
     assert accuracy == 1.0
     assert loss == pytest.approx(0.0, abs=1e-9)
     loss, grad = loss_and_grad(params, [[2.0, 0.0]], [1])
@@ -292,7 +294,7 @@ def test_labels_outside_the_output_layer_are_rejected(labels, message):
     features = np.ones((2, 2))
     with pytest.raises(ValueError, match=message):
         loss_and_grad(params, features, labels)
-    ds = LabeledDataset(features, [0, 0], 3, 2)
+    ds = LabeledDataset(features, [0, 0], 3)
     ds.labels = np.array(labels)  # past LabeledDataset's own checks
     with pytest.raises(ValueError, match=message):
         evaluate(params, ds)
@@ -308,7 +310,7 @@ def test_unsigned_labels_are_read_as_classes():
 
 def test_evaluate_empty_error():
     with pytest.raises(ValueError):
-        evaluate(_zero_params(ArchSpec((2, 2))), LabeledDataset(np.zeros((0, 2)), [], 2, 2))
+        evaluate(_zero_params(ArchSpec((2, 2))), LabeledDataset(np.zeros((0, 2)), [], 2))
 
 
 def test_evaluate_accuracy_in_unit_range():
@@ -487,7 +489,7 @@ def _assert_matches_oracle(params, features, labels, workspace=None):
     """Evaluate, loss and gradient (and the gradient alone, with
     ``loss=False``), and an in-place SGD step of a copy against the oracle,
     byte for byte."""
-    ds = LabeledDataset(features, labels, params.arch.layer_sizes[-1], params.arch.layer_sizes[0])
+    ds = LabeledDataset(features, labels, params.arch.layer_sizes[-1])
     with np.errstate(all="ignore"):
         got_eval = evaluate(params, ds, workspace=workspace)
         want_eval = oracle_evaluate(params, ds)

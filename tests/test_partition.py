@@ -1,3 +1,5 @@
+import hashlib
+import os
 from itertools import pairwise
 
 import numpy as np
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from tramfl import (
     StateError,
     generate_synthetic,
+    generate_synthetic_split,
+    parse_config,
     split_contiguous_labels,
     split_exponential_binary,
     split_random_k_labels,
@@ -363,3 +367,72 @@ def test_plan_integers_are_not_truncated_floats(make):
     fields = [plan.nodes, plan.k_min, plan.k_max, plan.seed]
     fields += [n for row in plan.counts or () for n in row]
     assert all(type(v) is int for v in fields if v is not None)
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _config_shards(name):
+    """The shards ``tramfl run`` trains on for a shipped config."""
+    cfg = parse_config(os.path.join(CONFIGS, name))
+    d = cfg.dataset
+    train, _ = generate_synthetic_split(d.classes, d.dims, d.per_class, d.test_per_class,
+                                        d.separation, d.seed)
+    return make_shards(train, cfg.partition)
+
+
+def _ten_class(dims):
+    return generate_synthetic_split(10, dims, 200, 50, 4.0, 1)[0]
+
+
+def _two_class():
+    return generate_synthetic_split(2, 3, 40, 5, 2.0, 7)[0]
+
+
+# One sha256 per split over every shard's node id, total, feature shape,
+# labels, histogram and features. The fourth and fifth are the benchmark's
+# in-process partitions (route_many, gossip_wide).
+SHARD_GOLDENS = {
+    "quickstart": (
+        lambda: _config_shards("quickstart.cfg"),
+        "b52ad0df0c603a674c4e3d5dbc2b1c14d13e70911b69cc1b6c3f957a26def91d",
+    ),
+    "route_sweep": (
+        lambda: _config_shards("route_sweep.cfg"),
+        "b52ad0df0c603a674c4e3d5dbc2b1c14d13e70911b69cc1b6c3f957a26def91d",
+    ),
+    "gossip_vs_tram": (
+        lambda: _config_shards("gossip_vs_tram.cfg"),
+        "ac6774211532b5eaef14019d626bd31a50d69535fd3acef04ba5ce382d20b41e",
+    ),
+    "random_k_32": (
+        lambda: make_shards(_ten_class(8), PartitionPlan("random_k", 32, k_min=1, k_max=3, seed=1)),
+        "04da3f64e4a1ef7bb48d7dc1b4d27211075c071754bd0e3fe56e5c2fa8e69dcb",
+    ),
+    "contiguous_wide": (
+        lambda: make_shards(_ten_class(32), PartitionPlan("contiguous", 5)),
+        "6470a7b589ad13373d3d7a9d3cc86ca621feaaf58e1a84b86c019faf651fd86c",
+    ),
+    "exponential": (
+        lambda: make_shards(_two_class(), PartitionPlan("exponential", 4, rate=0.7)),
+        "a78b91bc0d17998ae48338902b0a9b25e87ecf1f19c1c6cb80358ba77cf675ee",
+    ),
+    "table": (
+        lambda: make_shards(_two_class(), PartitionPlan("table", 3, counts=((10, 3), (0, 20), (25, 12)))),
+        "ae9bd59912af877e4ef0c0d84fb37b1c682d471446cb77164dd09ac6cf4e76ad",
+    ),
+    "split_random_k_labels": (
+        lambda: split_random_k_labels(_ten_class(8), 6, 1, 3, np.random.default_rng(7)),
+        "8ee1bd874d37091c0289522564c7eaad1979242b93719f3ca901235d569dff42",
+    ),
+}
+
+
+@pytest.mark.parametrize("split, digest", SHARD_GOLDENS.values(), ids=SHARD_GOLDENS.keys())
+def test_shard_bytes_match_the_golden(split, digest):
+    h = hashlib.sha256()
+    for s in split():
+        h.update(np.array([s.node_id, s.total, *s.features.shape], dtype=np.int64).tobytes())
+        for array in (s.labels, s.hist.counts, s.features):
+            h.update(array.tobytes())
+    assert h.hexdigest() == digest

@@ -29,10 +29,10 @@ from tramfl.routing import RouteTable
 
 
 def fake_shard(node_id, counts):
-    """Shard stub for routing tests: only hist/total/node_id are consulted."""
-    counts = np.asarray(counts, dtype=float)
-    return DatasetShard(node_id, np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
-                        LabelHistogram(counts), int(counts.sum()))
+    """A shard holding ``counts[c]`` rows of class c and no features: the
+    router reads only its hist, total and node_id."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return DatasetShard(np.zeros((len(labels), 0)), labels, len(counts), node_id=node_id)
 
 
 def naive_next_node(ledger, shard_rows, batch_size, interval):

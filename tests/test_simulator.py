@@ -20,7 +20,6 @@ from tramfl import (
     generate_synthetic_split,
     init_he,
     loss_and_grad,
-    make_shard,
     run_gossip,
     run_tram_fl,
     run_trials,
@@ -35,6 +34,12 @@ from tramfl import simulator
 def small_task():
     train, test = generate_synthetic_split(4, 4, 30, 15, 3.0, 1)
     return train, test
+
+
+def _shard(node_id, ds, rows):
+    """The shard of ``ds``'s rows at the indices ``rows``."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return DatasetShard(ds.features[rows], ds.labels[rows], ds.num_classes, node_id=node_id)
 
 
 def _cfg(**kwargs):
@@ -61,11 +66,10 @@ def _trial():
 
 
 ARRAY_HOLDERS = {
-    "LabeledDataset": lambda: LabeledDataset(np.zeros((2, 2)), [0, 1], 2, 2),
+    "LabeledDataset": lambda: LabeledDataset(np.zeros((2, 2)), [0, 1], 2),
     "LabelHistogram": lambda: LabelHistogram([1.0, 2.0]),
     "ModelParams": _model,
-    "DatasetShard": lambda: DatasetShard(0, np.zeros((2, 2)), np.array([0, 1]),
-                                         LabelHistogram([1.0, 1.0]), 2),
+    "DatasetShard": lambda: DatasetShard(np.zeros((2, 2)), [0, 1], 2, node_id=0),
     "RoutingState": lambda: RoutingState(LabelHistogram([1.0, 2.0]), 0),
     "TrialResult": _trial,
     "TrialsSummary": lambda: TrialsSummary([_trial()], [None], None, None, 1, 0),
@@ -100,7 +104,7 @@ def test_types_holding_arrays_compare_by_identity(make):
     (lambda shards, test: run_trials(shards, test, _cfg(policy=None, target_accuracy=0.5)),
      "cfg.policy is not set"),
     (lambda shards, test: run_trials(shards, test, _cfg(target_accuracy=0.5), num_trials=0),
-     "num_trials must be >= 1"),
+     "num_trials: must be >= 1, got 0"),
 ], ids=["unknown_kind", "route_on_dynamic", "static_without_route", "learning_rate", "learning_rate_inf",
         "batch_size", "interval", "max_iterations", "eval_every", "target_zero",
         "target_above_one", "iterations_below_interval", "tram_fl_no_policy", "trials_no_policy", "zero_trials"])
@@ -319,7 +323,7 @@ def test_early_stop_records_target(small_task):
 @pytest.mark.parametrize("num_shards", [2, 0], ids=["two_empty", "none"])
 def test_no_nonempty_shard_is_state_error(small_task, monkeypatch, kind, num_shards):
     _, test = small_task
-    shards = [make_shard(i, test, []) for i in range(num_shards)]
+    shards = [_shard(i, test, []) for i in range(num_shards)]
     policy = PolicySpec(kind, (0, 1) if kind == "static" else None)
     monkeypatch.setattr(simulator, "draw_minibatch", lambda *args: pytest.fail("a step ran"))
     with pytest.raises(StateError):
@@ -356,7 +360,7 @@ def test_gossip_needs_two_nodes_and_data(small_task):
     with pytest.raises(ValueError):
         run_gossip(split_contiguous_labels(train, 1), test, _cfg(policy=PolicySpec("gossip")))
     shards = split_contiguous_labels(train, 2)
-    shards[1] = make_shard(1, train, [])
+    shards[1] = _shard(1, train, [])
     with pytest.raises(StateError):
         run_gossip(shards, test, _cfg(policy=PolicySpec("gossip")))
 
@@ -368,7 +372,7 @@ def test_visiting_policy_rejects_an_empty_shard_whatever_the_budget(small_task, 
     the first step, not only once the model reaches it."""
     train, test = small_task
     shards = split_contiguous_labels(train, 3)
-    shards[1] = make_shard(1, train, [])
+    shards[1] = _shard(1, train, [])
     for iterations in (1, 40):
         with pytest.raises(StateError, match="shard 1 is empty"):
             run_tram_fl(shards, test, _cfg(policy=policy, max_iterations=iterations))
@@ -386,7 +390,7 @@ def _with_extra_class(ds, row):
     """``ds`` with one class more, given to ``row``."""
     labels = ds.labels.copy()
     labels[row] = ds.num_classes
-    return LabeledDataset(ds.features, labels, ds.num_classes + 1, ds.dims)
+    return LabeledDataset(ds.features, labels, ds.num_classes + 1)
 
 
 @pytest.mark.parametrize("run, policy", [(run_tram_fl, PolicySpec("dynamic")),
@@ -407,7 +411,7 @@ def test_a_class_past_the_output_width_fails_before_the_first_step(small_task, m
         train = _with_extra_class(train, len(train) // 4 if row == "middle" else -1)
     else:
         test = _with_extra_class(test, len(test) // 2 if row == "middle" else -1)
-    shards = [make_shard(i, train, rows) for i, rows in enumerate(np.array_split(np.arange(len(train)), 2))]
+    shards = [_shard(i, train, rows) for i, rows in enumerate(np.array_split(np.arange(len(train)), 2))]
     with pytest.raises(ValueError, match=f"{fragment}, but the output layer has 4"):
         run(shards, test, _cfg(policy=policy))
     assert steps == []
@@ -443,7 +447,7 @@ def test_gossip_iid_shards_match_centralized_curve():
     train, test = generate_synthetic_split(10, 8, 100, 50, 4.0, 31)
     rng = np.random.default_rng(5)
     chunks = np.array_split(rng.permutation(len(train)), 5)
-    shards = [make_shard(i, train, chunk) for i, chunk in enumerate(chunks)]
+    shards = [_shard(i, train, chunk) for i, chunk in enumerate(chunks)]
     rounds = 150
     arch = ArchSpec((8, 32, 10))
     gossip = run_gossip(

@@ -22,6 +22,7 @@ from test_routing import sequential_select
 
 from tramfl import (
     ArchSpec,
+    DatasetShard,
     LabelHistogram,
     ModelParams,
     PolicySpec,
@@ -33,7 +34,6 @@ from tramfl import (
     generate_synthetic_split,
     init_he,
     loss_and_grad,
-    make_shard,
     params_digest,
     run_gossip,
     run_tram_fl,
@@ -160,7 +160,8 @@ def trials(draw):
     assigned = draw(st.lists(st.sampled_from(owners), min_size=len(rows), max_size=len(rows)))
     if kind != "dynamic":
         assigned[:num_nodes] = range(num_nodes)
-    shards = [make_shard(v, train, [r for r, a in zip(rows, assigned) if a == v])
+    held = {v: [r for r, a in zip(rows, assigned) if a == v] for v in range(num_nodes)}
+    shards = [DatasetShard(train.features[held[v]], train.labels[held[v]], num_classes, node_id=v)
               for v in draw(st.permutations(range(num_nodes)))]
     hidden = draw(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=3))
     policy = (PolicySpec("static", draw(st.permutations(range(num_nodes))))
@@ -216,7 +217,9 @@ def test_terminal_target_hit_matches_the_reference():
     """4 sends with evaluation every 5: the terminal record clears the
     target, and the trial still ends without reaching it."""
     train, test = generate_synthetic_split(4, 4, 30, 15, 3.0, 1)
-    shards = [make_shard(v, train, np.flatnonzero(train.labels // 2 == v)) for v in range(2)]
+    halves = [train.labels // 2 == v for v in range(2)]
+    shards = [DatasetShard(train.features[rows], train.labels[rows], train.num_classes, node_id=v)
+              for v, rows in enumerate(halves)]
     cfg = RunConfig(arch=ArchSpec((4, 8, 4)), learning_rate=0.05, batch_size=4, interval=1,
                     max_iterations=4, eval_every=5, target_accuracy=0.05, seed=3,
                     policy=PolicySpec("dynamic"))
